@@ -97,6 +97,15 @@ grep -q "\[PASS\] long encode fast-forward speedup" \
 python scripts/check_trace.py ff_trace.json \
     --require sim.fastforward
 
+echo "== perfbench job (benchmark smoke + seed-0 digest pins) =="
+# The tiny-scale smoke test checks that every declared metric appears.
+# The zero-second traced encode_mt run re-checks the seed-0 simulated
+# digests against perfbench/pins.json and drives the span wrappers
+# around multicore._run and ThreadContext.run (exit 1 on any failed
+# check), so a rename or a byte drift in the interpreter fails here.
+python -m pytest perfbench/test_smoke.py -q
+python3 perfbench/run.py --workload encode_mt --seed 0 --seconds 0 --trace 1
+
 echo "== chaos smoke job (seeded campaign, durability audit must be clean) =="
 # A short seeded chaos campaign must end with zero acknowledged-write
 # loss; the scenario's own shape checks fail the run otherwise (exit 1).

@@ -33,6 +33,10 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 #: Environment override for the ledger path.
 HISTORY_ENV = "REPRO_BENCH_HISTORY"
 
+#: Rates are higher-is-better. They are checked before the time
+#: suffixes, which would otherwise claim ``ops_per_s`` via ``_s``.
+_RATE_SUFFIX = "_per_s"
+_RATE_TOKEN = "mops"
 _LOWER_SUFFIXES = ("_s", "_ns", "_us", "_ms")
 _LOWER_TOKENS = ("latency", "regret", "wall", "makespan")
 _HIGHER_TOKENS = ("gbps", "speedup", "score", "fraction", "tput",
@@ -49,6 +53,8 @@ def history_path(path=None) -> pathlib.Path:
 def metric_direction(name: str) -> str | None:
     """``"lower"`` / ``"higher"`` is better, or None (ungated)."""
     low = name.lower()
+    if low.endswith(_RATE_SUFFIX) or _RATE_TOKEN in low:
+        return "higher"
     if low.endswith(_LOWER_SUFFIXES) or any(t in low for t in _LOWER_TOKENS):
         return "lower"
     if any(t in low for t in _HIGHER_TOKENS):

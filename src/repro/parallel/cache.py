@@ -90,9 +90,8 @@ def trace_fingerprint(trace: Trace) -> str:
     return hashlib.sha256(trace.content_key()).hexdigest()
 
 
-def sim_key(traces, hw, batch_ops: int = 1,
-            fastforward: bool = False) -> str:
-    """Cache key for ``simulate(traces, hw, batch_ops, fastforward)``.
+def sim_key(traces, hw, fastforward: bool = False) -> str:
+    """Cache key for ``simulate(traces, hw, fastforward)``.
 
     Fast-forwarded results are byte-identical to interpreted ones, but
     the flag is keyed anyway: the cache must never be the mechanism
@@ -100,7 +99,7 @@ def sim_key(traces, hw, batch_ops: int = 1,
     ``SimResult.fastforward`` stats differ between the two paths.
     """
     h = hashlib.sha256()
-    h.update(f"sim:{CACHE_VERSION}:{fingerprint(hw)}:{batch_ops}:"
+    h.update(f"sim:{CACHE_VERSION}:{fingerprint(hw)}:"
              f"{int(fastforward)}:{len(traces)}".encode())
     for t in traces:
         h.update(t.content_key())
@@ -195,13 +194,11 @@ class SimCache:
     def __init__(self, store: ContentCache):
         self.store = store
 
-    def simulate(self, traces, hw, batch_ops: int = 1,
-                 fastforward: bool = False):
-        key = sim_key(traces, hw, batch_ops, fastforward)
+    def simulate(self, traces, hw, fastforward: bool = False):
+        key = sim_key(traces, hw, fastforward)
         res = self.store.get(key)
         if res is None:
-            res = _simulate_raw(traces, hw, batch_ops=batch_ops,
-                                fastforward=fastforward)
+            res = _simulate_raw(traces, hw, fastforward=fastforward)
             self.store.put(key, res)
         return res
 

@@ -38,7 +38,6 @@ _SIM_CACHE = None
 def simulate(trace, hardware: HardwareConfig | None = None, *,
              threads: int | None = None,
              tracer=None,
-             batch_ops: int = 1,
              contexts=None,
              drain: bool = True,
              fastforward: bool | None = None) -> SimResult:
@@ -61,11 +60,6 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
     tracer:
         Optional :class:`repro.obs.Tracer` installed for the duration
         of this call (otherwise the ambient tracer applies).
-    batch_ops:
-        Ops per scheduling turn for multi-thread interleaving; the
-        default of 1 keeps global time monotonic (see
-        :mod:`repro.simulator.multicore`). Single-thread runs take the
-        engine's inlined fast path regardless.
     contexts:
         Pre-built :class:`~repro.simulator.engine.ThreadContext` list —
         advanced use: the DIALGA coordinator re-enters the simulator
@@ -113,19 +107,14 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
 
     if tracer is not None:
         with use_tracer(tracer):
-            return _dispatch(traces, hardware, batch_ops, contexts, drain,
-                             fastforward)
-    return _dispatch(traces, hardware, batch_ops, contexts, drain,
-                     fastforward)
+            return _dispatch(traces, hardware, contexts, drain, fastforward)
+    return _dispatch(traces, hardware, contexts, drain, fastforward)
 
 
-def _dispatch(traces, hardware, batch_ops, contexts, drain,
-              fastforward) -> SimResult:
+def _dispatch(traces, hardware, contexts, drain, fastforward) -> SimResult:
     cache = _SIM_CACHE
     if (cache is not None and contexts is None and drain
             and not get_tracer().enabled):
-        return cache.simulate(traces, hardware, batch_ops,
-                              fastforward=fastforward)
-    return _simulate_raw(traces, hardware, batch_ops=batch_ops,
-                         contexts=contexts, drain=drain,
+        return cache.simulate(traces, hardware, fastforward=fastforward)
+    return _simulate_raw(traces, hardware, contexts=contexts, drain=drain,
                          fastforward=fastforward)

@@ -1,4 +1,4 @@
-"""Single-thread trace execution with cycle/ns accounting.
+"""Trace execution with cycle/ns accounting: the one interpreter.
 
 The core model is in-order with bounded memory-level parallelism:
 demand misses cost ``latency / mlp`` (the OOO window overlaps a few
@@ -10,21 +10,29 @@ pays only the residual wait (or nothing, if it already arrived). This
 is exactly the latency-hiding mechanism whose failure modes the paper
 studies.
 
-Two execution paths share the same arithmetic:
+:func:`interpret` is the only interpreter. It runs any number of
+thread contexts over their shared memory backends one op at a time,
+always advancing the thread with the smallest ``(clock, index)`` — the
+conservative event order the busy-until bandwidth pipes need. The
+per-op arithmetic of the core, cache, streamer and PM/DRAM backends is
+inlined into one loop with all hot state in locals; a thread hand-off
+swaps in only that thread's own state. A single-thread run
+(:meth:`ThreadContext.run`) is the one-context case.
 
-* :meth:`ThreadContext.step` — the generic batched stepper the
-  multicore scheduler interleaves;
-* :meth:`ThreadContext.run` — the single-thread fast path, the same
-  per-op operations inlined into one loop with hot state in locals.
-  Results are bit-identical by construction (same floating-point
-  operations in the same order), which the determinism tests assert.
+``tests/sim_reference.py`` states the same model one op and one helper
+call at a time; ``tests/test_interpreter_oracle.py`` asserts that the
+two agree bit for bit (the same floating-point operations in the same
+order) across trace generators, hardware corners, thread counts and
+chunked re-entry.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heapreplace
+
 from repro.simulator.cache import CoreCache, DEMAND, HWPF, SWPF as SWPF_SRC, _Line
 from repro.simulator.counters import Counters
-from repro.simulator.memory import DRAMBackend, PMBackend
+from repro.simulator.memory import PMBackend
 from repro.simulator.params import HardwareConfig
 from repro.simulator.streamprefetcher import StreamPrefetcher, _Stream
 from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
@@ -50,483 +58,223 @@ class ThreadContext:
         self.clock = 0.0
         self.trace = trace or Trace()
         self.pc = 0
-        # hot-path constants
-        self._ns_per_cycle = hw.cpu.ns_per_cycle
-        self._simd_factor = hw.cpu.simd_factor
-        self._hit_ns = hw.cache.hit_latency_ns
-        self._load_issue_ns = hw.cpu.load_issue_cycles * self._ns_per_cycle
-        self._store_issue_ns = hw.cpu.store_issue_cycles * self._ns_per_cycle
-        self._swpf_issue_ns = hw.cpu.swpf_issue_cycles * self._ns_per_cycle
-        self._wpq_ns = hw.cpu.wpq_backpressure_ns
-        #: Software prefetches also train the hardware prefetcher
-        #: (their "training effect", §5.9).
-        self.swpf_trains_hwpf = True
 
     @property
     def done(self) -> bool:
         """True when the whole trace has executed."""
         return self.pc >= len(self.trace.opcodes)
 
-    # -- internals -------------------------------------------------------
-
-    def _issue_hw_prefetches(self, addr: int) -> None:
-        for target in self.prefetcher.on_access(addr):
-            qd, lat, dlat = self.load_backend.fill_line(
-                target, self.clock, demand=False)
-            self.cache.insert(target, self.clock + qd + lat, HWPF,
-                              promo_ns=dlat / self.load_backend.mlp)
-
-    def _do_load(self, addr: int) -> None:
-        c = self.counters
-        c.loads += 1
-        c.app_read_bytes += 64
-        now = self.clock + self._load_issue_ns
-        line = addr & ~63
-        ent = self.cache.lookup(line)
-        if ent is not None:
-            ent.used = True
-            if ent.arrival_ns <= now:
-                c.load_cache_hits += 1
-                if ent.source == HWPF:
-                    c.hwpf_useful += 1
-                now += self._hit_ns
-            else:
-                # In-flight prefetch: the demand promotes the request to
-                # demand priority, so the wait is the smaller of the
-                # prefetch's remaining time and what the same fill would
-                # have cost at demand priority.
-                wait = min(ent.arrival_ns - now, ent.promo_ns)
-                c.load_late_prefetch += 1
-                c.load_stall_ns += wait
-                if ent.source == SWPF_SRC:
-                    c.swpf_late += 1
-                elif ent.source == HWPF:
-                    # Late hardware prefetch: mostly wasted (0xf2-ish).
-                    c.hwpf_useless += 1
-                now += wait + self._hit_ns
-        else:
-            qd, lat, _ = self.load_backend.fill_line(line, now, demand=True)
-            stall = qd + lat / self.load_backend.mlp
-            c.load_misses += 1
-            c.load_stall_ns += stall
-            now += stall + self._hit_ns
-            self.cache.insert(line, now, DEMAND, used=True)
-        self.clock = now
-        # The demand access trains the streamer *after* being served.
-        self._issue_hw_prefetches(line)
-
-    def _do_store(self, addr: int) -> None:
-        self.counters.stores += 1
-        now = self.clock + self._store_issue_ns
-        qd = self.store_backend.write_line(addr & ~63, now)
-        # Non-temporal stores are posted; only severe backpressure
-        # (write-pipe backlog beyond the configured WPQ allowance)
-        # stalls the core.
-        backlog = self.store_backend.write_pipe.free_at - now
-        if backlog > self._wpq_ns:
-            stall = backlog - self._wpq_ns
-            self.counters.store_stall_ns += stall
-            now += stall
-        self.clock = now
-
-    def _do_swpf(self, addr: int) -> None:
-        c = self.counters
-        c.swpf_issued += 1
-        now = self.clock + self._swpf_issue_ns
-        line = addr & ~63
-        if self.cache.lookup(line) is None:
-            qd, lat, dlat = self.load_backend.fill_line(line, now, demand=False)
-            self.cache.insert(line, now + qd + lat, SWPF_SRC,
-                              promo_ns=dlat / self.load_backend.mlp)
-        self.clock = now
-        if self.swpf_trains_hwpf:
-            self._issue_hw_prefetches(line)
-
-    # -- public stepping --------------------------------------------------
-
-    def step(self, max_ops: int) -> int:
-        """Execute up to ``max_ops`` ops; returns how many ran."""
-        opcodes = self.trace.opcodes
-        args = self.trace.args
-        n = min(max_ops, len(opcodes) - self.pc)
-        counters = self.counters
-        for i in range(self.pc, self.pc + n):
-            op = opcodes[i]
-            if op == LOAD:
-                self._do_load(int(args[i]))
-            elif op == COMPUTE:
-                ns = args[i] * self._ns_per_cycle * self._simd_factor
-                counters.compute_ns += ns
-                self.clock += ns
-            elif op == STORE:
-                self._do_store(int(args[i]))
-            elif op == SWPF:
-                self._do_swpf(int(args[i]))
-            elif op == FENCE:
-                self.clock = self.store_backend.drain_writes(self.clock)
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown opcode {op}")
-        self.pc += n
-        return n
-
     def run(self, until: int | None = None) -> float:
         """Execute the trace (to ``until``, if given); returns the clock.
-
-        Fast path: the per-op arithmetic of :meth:`step` *and* of the
-        memory-model callees (backend fills, read buffer, streamer
-        training, cache insertion) inlined into one loop with all hot
-        state — counters included — in locals, one Python frame for the
-        whole trace instead of five per op. Bit-identical to stepping
-        by construction: the same floating-point operations in the same
-        order, which the determinism tests assert. Falls back to
-        :meth:`step` when the backends are not the stock PM/DRAM models
-        (the inlining hard-codes their arithmetic).
 
         ``until`` is an absolute op index bound (clamped to the trace
         length): the fast-forward layer interprets period-by-period by
         chunking through here, which composes bit-identically with one
         full run because all hot state is written back at every return.
         """
-        n = len(self.trace.opcodes)
-        end = n if until is None else min(until, n)
-        if self.pc >= end:
-            return self.clock
-        load_backend = self.load_backend
-        store_backend = self.store_backend
-        if (type(load_backend) not in (PMBackend, DRAMBackend)
-                or type(store_backend) not in (PMBackend, DRAMBackend)):
-            self.step(end - self.pc)
-            return self.clock
-        opcodes = self.trace.opcodes
-        args = self.trace.args
-        i = self.pc
-        c = self.counters
+        interpret([self], until)
+        return self.clock
 
-        # Core-side hot state.
-        lines = self.cache._lines
-        cache_get = lines.get
-        cache_mte = lines.move_to_end
-        cache_pop = lines.popitem
-        cache_cap = self.cache.capacity
-        ns_per_cycle = self._ns_per_cycle
-        simd_factor = self._simd_factor
-        hit_ns = self._hit_ns
-        load_issue_ns = self._load_issue_ns
-        store_issue_ns = self._store_issue_ns
-        swpf_issue_ns = self._swpf_issue_ns
-        wpq_ns = self._wpq_ns
-        swpf_trains = self.swpf_trains_hwpf
 
-        # Streamer (per-core) hot state.
-        pf = self.prefetcher
-        pf_enabled = pf.enabled
-        pf_cfg = pf.config
-        pf_page_bytes = pf_cfg.page_bytes
-        pf_max_streams = pf_cfg.max_streams
-        pf_train = pf_cfg.train_threshold
-        pf_max_dist = pf_cfg.max_distance
-        pf_ramp = pf_cfg.ramp_div
-        pf_last_line = pf_page_bytes // 64 - 1
-        table = pf._table
-        table_get = table.get
-        table_mte = table.move_to_end
-        table_pop = table.popitem
+def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
+    """Execute every context's trace (each to op index ``until``).
 
-        # Load-side backend hot state. The PM and DRAM fill paths are
-        # both inlined below, selected by ``pm_load``; the arithmetic
-        # mirrors ``PMBackend.fill_line`` / ``DRAMBackend.fill_line``
-        # exactly (precomputed products are constant-folded copies of
-        # the same expressions, so the floats are identical).
-        mlp = load_backend.mlp
-        pm_load = type(load_backend) is PMBackend
-        if pm_load:
-            lb_cfg = load_backend.config
-            ctrl_pipe = load_backend.ctrl_pipe
-            media_pipe = load_backend.media_pipe
-            ctrl_step = 64 * ctrl_pipe.ns_per_byte
-            media_step = lb_cfg.xpline_bytes * media_pipe.ns_per_byte
-            xpline_bytes = lb_cfg.xpline_bytes
-            buffer_hit_ns = lb_cfg.buffer_hit_latency_ns
-            media_ns = lb_cfg.media_latency_ns
-            media_pf_ns = media_ns * lb_cfg.prefetch_latency_factor
-            rb = load_backend.read_buffer
-            rb_entries = rb._entries
-            rb_mte = rb_entries.move_to_end
-            rb_pop = rb_entries.popitem
-            rb_cap = rb.capacity
-        else:
-            read_pipe = load_backend.read_pipe
-            read_step = 64 * read_pipe.ns_per_byte
-            dram_ns = load_backend.config.latency_ns
+    The contexts must share one :class:`Counters`, one pair of memory
+    backends and one :class:`HardwareConfig` (as
+    :func:`repro.simulator.multicore.simulate` checks): those, and the
+    shared backend state (read buffer, bandwidth pipes), are read from
+    ``contexts[0]`` and held in locals for the whole call. Each
+    thread's own state — trace arrays, cache dict, stream table and
+    their bound methods — is bundled once into a tuple, so a hand-off
+    is one tuple unpack plus a write-back of ``pc`` and ``clock``.
 
-        # Store-side backend hot state (write path is identical for PM
-        # and DRAM: a bandwidth pipe plus byte accounting).
-        write_pipe = store_backend.write_pipe
-        write_step = 64 * write_pipe.ns_per_byte
+    Scheduling reproduces a heap of ``(clock, index)`` popped one op
+    per turn: the running thread keeps going while its ``(clock,
+    index)`` is below the heap's minimum, and is otherwise swapped for
+    it with one ``heapreplace``.
+    """
+    threads = []
+    heap: list[tuple[float, int]] = []
+    for idx, ctx in enumerate(contexts):
+        opcodes = ctx.trace.opcodes
+        end = len(opcodes) if until is None else min(until, len(opcodes))
+        lines = ctx.cache._lines
+        table = ctx.prefetcher._table
+        threads.append((ctx, opcodes, ctx.trace.args, end,
+                        lines, lines.get, lines.move_to_end, lines.popitem,
+                        table, table.get, table.move_to_end, table.popitem,
+                        ctx.prefetcher.enabled))
+        if ctx.pc < end:
+            heap.append((ctx.clock, idx))
+    if not heap:
+        return
+    heapify(heap)
+    _, idx = heappop(heap)
+    (ctx, opcodes, args, end, lines, cache_get, cache_mte, cache_pop,
+     table, table_get, table_mte, table_pop, pf_enabled) = threads[idx]
+    i = ctx.pc
+    clock = ctx.clock
+    if heap:
+        h_clock, h_idx = heap[0]
 
-        # Counter fields hoisted into locals — slot access still pays
-        # an attribute lookup per bump that a local avoids. All are
-        # written back in the ``finally`` below, so chunked calls (the
-        # fast-forward layer runs period-by-period via ``until``) see
-        # consistent state at every boundary. Same adds in the same
-        # order: bit-identical to bumping the attributes directly.
-        c_loads = c.loads
-        c_load_cache_hits = c.load_cache_hits
-        c_load_late_prefetch = c.load_late_prefetch
-        c_load_misses = c.load_misses
-        c_stores = c.stores
-        c_load_stall_ns = c.load_stall_ns
-        c_store_stall_ns = c.store_stall_ns
-        c_compute_ns = c.compute_ns
-        c_hwpf_issued = c.hwpf_issued
-        c_hwpf_useful = c.hwpf_useful
-        c_hwpf_useless = c.hwpf_useless
-        c_streams_allocated = c.streams_allocated
-        c_streams_evicted_untrained = c.streams_evicted_untrained
-        c_swpf_issued = c.swpf_issued
-        c_swpf_late = c.swpf_late
-        c_swpf_useless = c.swpf_useless
-        c_app_read_bytes = c.app_read_bytes
-        c_ctrl_read_bytes = c.ctrl_read_bytes
-        c_media_read_bytes = c.media_read_bytes
-        c_write_bytes = c.write_bytes
-        c_buffer_hits = c.buffer_hits
-        c_buffer_misses = c.buffer_misses
-        c_buffer_evictions = c.buffer_evictions
-        c_buffer_evictions_unused = c.buffer_evictions_unused
+    ctx0 = contexts[0]
+    hw = ctx0.hw
+    c = ctx0.counters
+    load_backend = ctx0.load_backend
+    store_backend = ctx0.store_backend
 
-        clock = self.clock
-        try:
-            while i < end:
-                op = opcodes[i]
-                arg = args[i]
-                i += 1
-                if op == LOAD:
-                    c_loads += 1
-                    c_app_read_bytes += 64
-                    now = clock + load_issue_ns
-                    line = int(arg) & ~63
-                    ent = cache_get(line)
-                    if ent is not None:
-                        cache_mte(line)
-                        ent.used = True
-                        if ent.arrival_ns <= now:
-                            c_load_cache_hits += 1
-                            if ent.source == HWPF:
-                                c_hwpf_useful += 1
-                            now += hit_ns
-                        else:
-                            wait = min(ent.arrival_ns - now, ent.promo_ns)
-                            c_load_late_prefetch += 1
-                            c_load_stall_ns += wait
-                            if ent.source == SWPF_SRC:
-                                c_swpf_late += 1
-                            elif ent.source == HWPF:
-                                c_hwpf_useless += 1
-                            now += wait + hit_ns
-                    else:
-                        # Demand fill (inlined backend).
-                        c_ctrl_read_bytes += 64
-                        if pm_load:
-                            start = ctrl_pipe.free_at
-                            if start < now:
-                                start = now
-                            ctrl_pipe.free_at = start + ctrl_step
-                            qd = start - now
-                            xp = line // xpline_bytes
-                            if xp in rb_entries:
-                                rb_entries[xp] += 1
-                                rb_mte(xp)
-                                c_buffer_hits += 1
-                                stall = qd + buffer_hit_ns / mlp
-                            else:
-                                c_buffer_misses += 1
-                                t = now + qd
-                                mstart = media_pipe.free_at
-                                if mstart < t:
-                                    mstart = t
-                                media_pipe.free_at = mstart + media_step
-                                c_media_read_bytes += xpline_bytes
-                                if len(rb_entries) >= rb_cap:
-                                    _, used = rb_pop(last=False)
-                                    c_buffer_evictions += 1
-                                    if used <= 1:
-                                        c_buffer_evictions_unused += 1
-                                rb_entries[xp] = 1
-                                stall = qd + (mstart - t) + media_ns / mlp
-                        else:
-                            start = read_pipe.free_at
-                            if start < now:
-                                start = now
-                            read_pipe.free_at = start + read_step
-                            stall = (start - now) + dram_ns / mlp
-                        c_load_misses += 1
-                        c_load_stall_ns += stall
-                        now += stall + hit_ns
-                        # Insert (line was absent — cache_get returned
-                        # None).
-                        if len(lines) >= cache_cap:
-                            _, ev = cache_pop(last=False)
-                            if not ev.used:
-                                if ev.source == HWPF:
-                                    c_hwpf_useless += 1
-                                elif ev.source == SWPF_SRC:
-                                    c_swpf_useless += 1
-                        lines[line] = _Line(now, DEMAND, True, 0.0)
-                    clock = now
-                    if not pf_enabled:
-                        continue
-                elif op == COMPUTE:
-                    ns = arg * ns_per_cycle * simd_factor
-                    c_compute_ns += ns
-                    clock += ns
-                    continue
-                elif op == STORE:
-                    c_stores += 1
-                    now = clock + store_issue_ns
-                    c_write_bytes += 64
-                    start = write_pipe.free_at
-                    if start < now:
-                        start = now
-                    free_at = start + write_step
-                    write_pipe.free_at = free_at
-                    backlog = free_at - now
-                    if backlog > wpq_ns:
-                        stall = backlog - wpq_ns
-                        c_store_stall_ns += stall
-                        now += stall
-                    clock = now
-                    continue
-                elif op == SWPF:
-                    c_swpf_issued += 1
-                    now = clock + swpf_issue_ns
-                    line = int(arg) & ~63
-                    ent = cache_get(line)
-                    if ent is None:
-                        # Prefetch-priority fill (inlined backend).
-                        c_ctrl_read_bytes += 64
-                        if pm_load:
-                            start = ctrl_pipe.free_at
-                            if start < now:
-                                start = now
-                            ctrl_pipe.free_at = start + ctrl_step
-                            qd = start - now
-                            xp = line // xpline_bytes
-                            if xp in rb_entries:
-                                rb_entries[xp] += 1
-                                rb_mte(xp)
-                                c_buffer_hits += 1
-                                arrival = now + qd + buffer_hit_ns
-                                promo = buffer_hit_ns / mlp
-                            else:
-                                c_buffer_misses += 1
-                                t = now + qd
-                                mstart = media_pipe.free_at
-                                if mstart < t:
-                                    mstart = t
-                                media_pipe.free_at = mstart + media_step
-                                c_media_read_bytes += xpline_bytes
-                                if len(rb_entries) >= rb_cap:
-                                    _, used = rb_pop(last=False)
-                                    c_buffer_evictions += 1
-                                    if used <= 1:
-                                        c_buffer_evictions_unused += 1
-                                rb_entries[xp] = 1
-                                arrival = now + (qd + (mstart - t)) + media_pf_ns
-                                promo = media_ns / mlp
-                        else:
-                            start = read_pipe.free_at
-                            if start < now:
-                                start = now
-                            read_pipe.free_at = start + read_step
-                            arrival = now + (start - now) + dram_ns
-                            promo = dram_ns / mlp
-                        if len(lines) >= cache_cap:
-                            _, ev = cache_pop(last=False)
-                            if not ev.used:
-                                if ev.source == HWPF:
-                                    c_hwpf_useless += 1
-                                elif ev.source == SWPF_SRC:
-                                    c_swpf_useless += 1
-                        lines[line] = _Line(arrival, SWPF_SRC, False, promo)
-                    else:
-                        cache_mte(line)
-                    clock = now
-                    if not (swpf_trains and pf_enabled):
-                        continue
-                elif op == FENCE:
-                    free_at = write_pipe.free_at
-                    if free_at > clock:
-                        clock = free_at
-                    continue
-                else:  # pragma: no cover - defensive
-                    i -= 1
-                    raise ValueError(f"unknown opcode {op}")
+    # Core-side constants.
+    cpu = hw.cpu
+    cache_cap = ctx0.cache.capacity
+    ns_per_cycle = cpu.ns_per_cycle
+    simd_factor = cpu.simd_factor
+    hit_ns = hw.cache.hit_latency_ns
+    load_issue_ns = cpu.load_issue_cycles * ns_per_cycle
+    store_issue_ns = cpu.store_issue_cycles * ns_per_cycle
+    swpf_issue_ns = cpu.swpf_issue_cycles * ns_per_cycle
+    wpq_ns = cpu.wpq_backpressure_ns
 
-                # Streamer training + hardware-prefetch issue (inlined
-                # ``StreamPrefetcher.on_access``); reached after LOAD,
-                # and after SWPF when software prefetches train the
-                # streamer.
-                page = line // pf_page_bytes
-                pline = (line % pf_page_bytes) // 64
-                stream = table_get(page)
-                if stream is None:
-                    if len(table) >= pf_max_streams:
-                        _, evicted = table_pop(last=False)
-                        if evicted.confidence < pf_train:
-                            c_streams_evicted_untrained += 1
-                    table[page] = _Stream(pline, 0, pline)
-                    c_streams_allocated += 1
-                    continue
-                table_mte(page)
-                last = stream.last_line
-                if pline == last + 1 or pline == last + 2:
-                    stream.confidence += 1
-                    stream.last_line = pline
-                elif pline <= last:
-                    pass
+    # Streamer constants (the tables are per-core).
+    pf_cfg = ctx0.prefetcher.config
+    pf_page_bytes = pf_cfg.page_bytes
+    pf_max_streams = pf_cfg.max_streams
+    pf_train = pf_cfg.train_threshold
+    pf_max_dist = pf_cfg.max_distance
+    pf_ramp = pf_cfg.ramp_div
+    pf_last_line = pf_page_bytes // 64 - 1
+
+    # Load-side backend hot state. The PM and DRAM fill paths are
+    # both inlined below, selected by ``pm_load``; the arithmetic
+    # mirrors ``PMBackend.fill_line`` / ``DRAMBackend.fill_line``
+    # exactly (precomputed products are constant-folded copies of
+    # the same expressions, so the floats are identical).
+    mlp = load_backend.mlp
+    pm_load = isinstance(load_backend, PMBackend)
+    if pm_load:
+        lb_cfg = load_backend.config
+        ctrl_pipe = load_backend.ctrl_pipe
+        media_pipe = load_backend.media_pipe
+        ctrl_step = 64 * ctrl_pipe.ns_per_byte
+        media_step = lb_cfg.xpline_bytes * media_pipe.ns_per_byte
+        xpline_bytes = lb_cfg.xpline_bytes
+        buffer_hit_ns = lb_cfg.buffer_hit_latency_ns
+        media_ns = lb_cfg.media_latency_ns
+        media_pf_ns = media_ns * lb_cfg.prefetch_latency_factor
+        rb = load_backend.read_buffer
+        rb_entries = rb._entries
+        rb_mte = rb_entries.move_to_end
+        rb_pop = rb_entries.popitem
+        rb_cap = rb.capacity
+    else:
+        read_pipe = load_backend.read_pipe
+        read_step = 64 * read_pipe.ns_per_byte
+        dram_ns = load_backend.config.latency_ns
+
+    # Store-side backend hot state (write path is identical for PM
+    # and DRAM: a bandwidth pipe plus byte accounting).
+    write_pipe = store_backend.write_pipe
+    write_step = 64 * write_pipe.ns_per_byte
+
+    # Counter fields hoisted into locals — slot access still pays
+    # an attribute lookup per bump that a local avoids. All are
+    # written back in the ``finally`` below, so chunked calls (the
+    # fast-forward layer runs period-by-period via ``until``) see
+    # consistent state at every boundary. Same adds in the same
+    # order: bit-identical to bumping the attributes directly.
+    c_loads = c.loads
+    c_load_cache_hits = c.load_cache_hits
+    c_load_late_prefetch = c.load_late_prefetch
+    c_load_misses = c.load_misses
+    c_stores = c.stores
+    c_load_stall_ns = c.load_stall_ns
+    c_store_stall_ns = c.store_stall_ns
+    c_compute_ns = c.compute_ns
+    c_hwpf_issued = c.hwpf_issued
+    c_hwpf_useful = c.hwpf_useful
+    c_hwpf_useless = c.hwpf_useless
+    c_streams_allocated = c.streams_allocated
+    c_streams_evicted_untrained = c.streams_evicted_untrained
+    c_swpf_issued = c.swpf_issued
+    c_swpf_late = c.swpf_late
+    c_swpf_useless = c.swpf_useless
+    c_app_read_bytes = c.app_read_bytes
+    c_ctrl_read_bytes = c.ctrl_read_bytes
+    c_media_read_bytes = c.media_read_bytes
+    c_write_bytes = c.write_bytes
+    c_buffer_hits = c.buffer_hits
+    c_buffer_misses = c.buffer_misses
+    c_buffer_evictions = c.buffer_evictions
+    c_buffer_evictions_unused = c.buffer_evictions_unused
+
+    try:
+        while True:
+            # Scheduling: hand off when this thread is done or another
+            # one's (clock, index) is now the smallest.
+            if i >= end or (heap and (clock > h_clock or (
+                    clock == h_clock and idx > h_idx))):
+                ctx.pc = i
+                ctx.clock = clock
+                if i < end:
+                    _, idx = heapreplace(heap, (clock, idx))
+                elif heap:
+                    _, idx = heappop(heap)
                 else:
-                    conf = stream.confidence - 2
-                    stream.confidence = conf if conf > 0 else 0
-                    stream.last_line = pline
-                    continue
-                conf = stream.confidence
-                if conf < pf_train:
-                    continue
-                distance = (conf - pf_train) // pf_ramp + 1
-                if distance > pf_max_dist:
-                    distance = pf_max_dist
-                target = pline + distance
-                if target > pf_last_line:
-                    target = pf_last_line
-                first = stream.max_prefetched + 1
-                if first <= pline:
-                    first = pline + 1
-                if first > target:
-                    continue
-                stream.max_prefetched = target
-                c_hwpf_issued += target - first + 1
-                base = page * pf_page_bytes
-                for l in range(first, target + 1):
-                    tgt = base + l * 64
-                    # Prefetch-priority fill (inlined backend) + insert.
+                    break
+                (ctx, opcodes, args, end, lines, cache_get, cache_mte,
+                 cache_pop, table, table_get, table_mte, table_pop,
+                 pf_enabled) = threads[idx]
+                i = ctx.pc
+                clock = ctx.clock
+                if heap:
+                    h_clock, h_idx = heap[0]
+            op = opcodes[i]
+            arg = args[i]
+            i += 1
+            if op == LOAD:
+                c_loads += 1
+                c_app_read_bytes += 64
+                now = clock + load_issue_ns
+                line = int(arg) & ~63
+                ent = cache_get(line)
+                if ent is not None:
+                    cache_mte(line)
+                    ent.used = True
+                    if ent.arrival_ns <= now:
+                        c_load_cache_hits += 1
+                        if ent.source == HWPF:
+                            c_hwpf_useful += 1
+                        now += hit_ns
+                    else:
+                        # In-flight prefetch: the demand promotes it to
+                        # demand priority, so the wait is the smaller of
+                        # its remaining time and a demand fill's cost.
+                        wait = min(ent.arrival_ns - now, ent.promo_ns)
+                        c_load_late_prefetch += 1
+                        c_load_stall_ns += wait
+                        if ent.source == SWPF_SRC:
+                            c_swpf_late += 1
+                        elif ent.source == HWPF:
+                            # Late hardware prefetch: mostly wasted.
+                            c_hwpf_useless += 1
+                        now += wait + hit_ns
+                else:
+                    # Demand fill (inlined backend).
                     c_ctrl_read_bytes += 64
                     if pm_load:
                         start = ctrl_pipe.free_at
-                        if start < clock:
-                            start = clock
+                        if start < now:
+                            start = now
                         ctrl_pipe.free_at = start + ctrl_step
-                        qd = start - clock
-                        xp = tgt // xpline_bytes
+                        qd = start - now
+                        xp = line // xpline_bytes
                         if xp in rb_entries:
                             rb_entries[xp] += 1
                             rb_mte(xp)
                             c_buffer_hits += 1
-                            arrival = clock + qd + buffer_hit_ns
-                            promo = buffer_hit_ns / mlp
+                            stall = qd + buffer_hit_ns / mlp
                         else:
                             c_buffer_misses += 1
-                            t = clock + qd
+                            t = now + qd
                             mstart = media_pipe.free_at
                             if mstart < t:
                                 mstart = t
@@ -538,59 +286,248 @@ class ThreadContext:
                                 if used <= 1:
                                     c_buffer_evictions_unused += 1
                             rb_entries[xp] = 1
-                            arrival = clock + (qd + (mstart - t)) + media_pf_ns
+                            stall = qd + (mstart - t) + media_ns / mlp
+                    else:
+                        start = read_pipe.free_at
+                        if start < now:
+                            start = now
+                        read_pipe.free_at = start + read_step
+                        stall = (start - now) + dram_ns / mlp
+                    c_load_misses += 1
+                    c_load_stall_ns += stall
+                    now += stall + hit_ns
+                    # Insert (line was absent — cache_get returned
+                    # None).
+                    if len(lines) >= cache_cap:
+                        _, ev = cache_pop(last=False)
+                        if not ev.used:
+                            if ev.source == HWPF:
+                                c_hwpf_useless += 1
+                            elif ev.source == SWPF_SRC:
+                                c_swpf_useless += 1
+                    lines[line] = _Line(now, DEMAND, True, 0.0)
+                clock = now
+                # The demand access trains the streamer *after* being
+                # served.
+                if not pf_enabled:
+                    continue
+            elif op == COMPUTE:
+                ns = arg * ns_per_cycle * simd_factor
+                c_compute_ns += ns
+                clock += ns
+                continue
+            elif op == STORE:
+                # Non-temporal stores are posted; only write-pipe
+                # backlog beyond the WPQ allowance stalls the core.
+                c_stores += 1
+                now = clock + store_issue_ns
+                c_write_bytes += 64
+                start = write_pipe.free_at
+                if start < now:
+                    start = now
+                free_at = start + write_step
+                write_pipe.free_at = free_at
+                backlog = free_at - now
+                if backlog > wpq_ns:
+                    stall = backlog - wpq_ns
+                    c_store_stall_ns += stall
+                    now += stall
+                clock = now
+                continue
+            elif op == SWPF:
+                c_swpf_issued += 1
+                now = clock + swpf_issue_ns
+                line = int(arg) & ~63
+                ent = cache_get(line)
+                if ent is None:
+                    # Prefetch-priority fill (inlined backend).
+                    c_ctrl_read_bytes += 64
+                    if pm_load:
+                        start = ctrl_pipe.free_at
+                        if start < now:
+                            start = now
+                        ctrl_pipe.free_at = start + ctrl_step
+                        qd = start - now
+                        xp = line // xpline_bytes
+                        if xp in rb_entries:
+                            rb_entries[xp] += 1
+                            rb_mte(xp)
+                            c_buffer_hits += 1
+                            arrival = now + qd + buffer_hit_ns
+                            promo = buffer_hit_ns / mlp
+                        else:
+                            c_buffer_misses += 1
+                            t = now + qd
+                            mstart = media_pipe.free_at
+                            if mstart < t:
+                                mstart = t
+                            media_pipe.free_at = mstart + media_step
+                            c_media_read_bytes += xpline_bytes
+                            if len(rb_entries) >= rb_cap:
+                                _, used = rb_pop(last=False)
+                                c_buffer_evictions += 1
+                                if used <= 1:
+                                    c_buffer_evictions_unused += 1
+                            rb_entries[xp] = 1
+                            arrival = now + (qd + (mstart - t)) + media_pf_ns
                             promo = media_ns / mlp
                     else:
                         start = read_pipe.free_at
-                        if start < clock:
-                            start = clock
+                        if start < now:
+                            start = now
                         read_pipe.free_at = start + read_step
-                        arrival = clock + (start - clock) + dram_ns
+                        arrival = now + (start - now) + dram_ns
                         promo = dram_ns / mlp
-                    ent = cache_get(tgt)
-                    if ent is not None:
-                        if arrival < ent.arrival_ns:
-                            ent.arrival_ns = arrival
-                        ent.promo_ns = (min(ent.promo_ns, promo)
-                                        if ent.promo_ns else promo)
-                        cache_mte(tgt)
+                    if len(lines) >= cache_cap:
+                        _, ev = cache_pop(last=False)
+                        if not ev.used:
+                            if ev.source == HWPF:
+                                c_hwpf_useless += 1
+                            elif ev.source == SWPF_SRC:
+                                c_swpf_useless += 1
+                    lines[line] = _Line(arrival, SWPF_SRC, False, promo)
+                else:
+                    cache_mte(line)
+                clock = now
+                # Software prefetches train the streamer too (their
+                # "training effect", §5.9).
+                if not pf_enabled:
+                    continue
+            elif op == FENCE:
+                free_at = write_pipe.free_at
+                if free_at > clock:
+                    clock = free_at
+                continue
+            else:  # pragma: no cover - defensive
+                i -= 1
+                raise ValueError(f"unknown opcode {op}")
+
+            # Streamer training + hardware-prefetch issue (inlined
+            # ``StreamPrefetcher.on_access``); reached after LOAD and
+            # SWPF.
+            page = line // pf_page_bytes
+            pline = (line % pf_page_bytes) // 64
+            stream = table_get(page)
+            if stream is None:
+                if len(table) >= pf_max_streams:
+                    _, evicted = table_pop(last=False)
+                    if evicted.confidence < pf_train:
+                        c_streams_evicted_untrained += 1
+                table[page] = _Stream(pline, 0, pline)
+                c_streams_allocated += 1
+                continue
+            table_mte(page)
+            last = stream.last_line
+            if pline == last + 1 or pline == last + 2:
+                stream.confidence += 1
+                stream.last_line = pline
+            elif pline <= last:
+                pass
+            else:
+                conf = stream.confidence - 2
+                stream.confidence = conf if conf > 0 else 0
+                stream.last_line = pline
+                continue
+            conf = stream.confidence
+            if conf < pf_train:
+                continue
+            distance = (conf - pf_train) // pf_ramp + 1
+            if distance > pf_max_dist:
+                distance = pf_max_dist
+            target = pline + distance
+            if target > pf_last_line:
+                target = pf_last_line
+            first = stream.max_prefetched + 1
+            if first <= pline:
+                first = pline + 1
+            if first > target:
+                continue
+            stream.max_prefetched = target
+            c_hwpf_issued += target - first + 1
+            base = page * pf_page_bytes
+            for l in range(first, target + 1):
+                tgt = base + l * 64
+                # Prefetch-priority fill (inlined backend) + insert.
+                c_ctrl_read_bytes += 64
+                if pm_load:
+                    start = ctrl_pipe.free_at
+                    if start < clock:
+                        start = clock
+                    ctrl_pipe.free_at = start + ctrl_step
+                    qd = start - clock
+                    xp = tgt // xpline_bytes
+                    if xp in rb_entries:
+                        rb_entries[xp] += 1
+                        rb_mte(xp)
+                        c_buffer_hits += 1
+                        arrival = clock + qd + buffer_hit_ns
+                        promo = buffer_hit_ns / mlp
                     else:
-                        if len(lines) >= cache_cap:
-                            _, ev = cache_pop(last=False)
-                            if not ev.used:
-                                if ev.source == HWPF:
-                                    c_hwpf_useless += 1
-                                elif ev.source == SWPF_SRC:
-                                    c_swpf_useless += 1
-                        lines[tgt] = _Line(arrival, HWPF, False, promo)
-        finally:
-            self.pc = i
-            self.clock = clock
-            c.loads = c_loads
-            c.load_cache_hits = c_load_cache_hits
-            c.load_late_prefetch = c_load_late_prefetch
-            c.load_misses = c_load_misses
-            c.stores = c_stores
-            c.load_stall_ns = c_load_stall_ns
-            c.store_stall_ns = c_store_stall_ns
-            c.compute_ns = c_compute_ns
-            c.hwpf_issued = c_hwpf_issued
-            c.hwpf_useful = c_hwpf_useful
-            c.hwpf_useless = c_hwpf_useless
-            c.streams_allocated = c_streams_allocated
-            c.streams_evicted_untrained = c_streams_evicted_untrained
-            c.swpf_issued = c_swpf_issued
-            c.swpf_late = c_swpf_late
-            c.swpf_useless = c_swpf_useless
-            c.app_read_bytes = c_app_read_bytes
-            c.ctrl_read_bytes = c_ctrl_read_bytes
-            c.media_read_bytes = c_media_read_bytes
-            c.write_bytes = c_write_bytes
-            c.buffer_hits = c_buffer_hits
-            c.buffer_misses = c_buffer_misses
-            c.buffer_evictions = c_buffer_evictions
-            c.buffer_evictions_unused = c_buffer_evictions_unused
-        return clock
+                        c_buffer_misses += 1
+                        t = clock + qd
+                        mstart = media_pipe.free_at
+                        if mstart < t:
+                            mstart = t
+                        media_pipe.free_at = mstart + media_step
+                        c_media_read_bytes += xpline_bytes
+                        if len(rb_entries) >= rb_cap:
+                            _, used = rb_pop(last=False)
+                            c_buffer_evictions += 1
+                            if used <= 1:
+                                c_buffer_evictions_unused += 1
+                        rb_entries[xp] = 1
+                        arrival = clock + (qd + (mstart - t)) + media_pf_ns
+                        promo = media_ns / mlp
+                else:
+                    start = read_pipe.free_at
+                    if start < clock:
+                        start = clock
+                    read_pipe.free_at = start + read_step
+                    arrival = clock + (start - clock) + dram_ns
+                    promo = dram_ns / mlp
+                ent = cache_get(tgt)
+                if ent is not None:
+                    if arrival < ent.arrival_ns:
+                        ent.arrival_ns = arrival
+                    ent.promo_ns = (min(ent.promo_ns, promo)
+                                    if ent.promo_ns else promo)
+                    cache_mte(tgt)
+                else:
+                    if len(lines) >= cache_cap:
+                        _, ev = cache_pop(last=False)
+                        if not ev.used:
+                            if ev.source == HWPF:
+                                c_hwpf_useless += 1
+                            elif ev.source == SWPF_SRC:
+                                c_swpf_useless += 1
+                    lines[tgt] = _Line(arrival, HWPF, False, promo)
+    finally:
+        ctx.pc = i
+        ctx.clock = clock
+        c.loads = c_loads
+        c.load_cache_hits = c_load_cache_hits
+        c.load_late_prefetch = c_load_late_prefetch
+        c.load_misses = c_load_misses
+        c.stores = c_stores
+        c.load_stall_ns = c_load_stall_ns
+        c.store_stall_ns = c_store_stall_ns
+        c.compute_ns = c_compute_ns
+        c.hwpf_issued = c_hwpf_issued
+        c.hwpf_useful = c_hwpf_useful
+        c.hwpf_useless = c_hwpf_useless
+        c.streams_allocated = c_streams_allocated
+        c.streams_evicted_untrained = c_streams_evicted_untrained
+        c.swpf_issued = c_swpf_issued
+        c.swpf_late = c_swpf_late
+        c.swpf_useless = c_swpf_useless
+        c.app_read_bytes = c_app_read_bytes
+        c.ctrl_read_bytes = c_ctrl_read_bytes
+        c.media_read_bytes = c_media_read_bytes
+        c.write_bytes = c_write_bytes
+        c.buffer_hits = c_buffer_hits
+        c.buffer_misses = c_buffer_misses
+        c.buffer_evictions = c_buffer_evictions
+        c.buffer_evictions_unused = c_buffer_evictions_unused
 
 
 def run_single(trace: Trace, hw: HardwareConfig) -> tuple[float, Counters]:

@@ -10,8 +10,8 @@ skips ahead by exact extrapolation, producing output **byte-identical**
 to plain interpretation:
 
 1. **Detect** the periodic region with pure array arithmetic.
-2. **Interpret** period by period (through the engine's inlined fast
-   path, chunked via ``ThreadContext.run(until=...)``), taking a cheap
+2. **Interpret** period by period (through the engine's interpreter,
+   chunked via ``ThreadContext.run(until=...)``), taking a cheap
    fingerprint at every period boundary: elapsed ns, the full counter
    delta, and the model occupancy sizes. Only when consecutive cheap
    fingerprints agree is the full **shift-invariant digest** computed —
@@ -43,8 +43,8 @@ loop re-interprets a few periods and re-validates before jumping again
 (a handful of crossings per run — binades double in width).
 
 Anything non-periodic — update traces, chaos faults, adaptive policy
-switches, subclassed models — fails detection or never converges, and
-the trace runs under plain interpretation, bit-for-bit as before.
+switches — fails detection or never converges, and the trace runs
+under plain interpretation, bit-for-bit as before.
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-from repro.simulator.cache import CoreCache
 from repro.simulator.counters import Counters
 from repro.simulator.engine import ThreadContext
-from repro.simulator.memory import DRAMBackend, PMBackend
-from repro.simulator.readbuffer import PMReadBuffer
-from repro.simulator.streamprefetcher import StreamPrefetcher
+from repro.simulator.memory import PMBackend
 from repro.trace.period import detect_period
 
 __all__ = ["run_fastforward", "MIN_PERIODS", "CONFIRM_PERIODS"]
@@ -89,25 +86,6 @@ def _stats(engaged: bool, reason: str | None = None, **extra) -> dict:
            "period_ops": 0, "stride": 0}
     out.update(extra)
     return out
-
-
-def _unsupported(ctx: ThreadContext) -> str | None:
-    """Reason the context cannot be fast-forwarded, or None."""
-    if type(ctx) is not ThreadContext:
-        return "subclassed context"
-    if type(ctx.counters) is not Counters:
-        return "subclassed counters"
-    if type(ctx.cache) is not CoreCache:
-        return "subclassed cache"
-    if type(ctx.prefetcher) is not StreamPrefetcher:
-        return "subclassed prefetcher"
-    for backend in (ctx.load_backend, ctx.store_backend):
-        if type(backend) not in (PMBackend, DRAMBackend):
-            return "subclassed backend"
-        if (type(backend) is PMBackend
-                and type(backend.read_buffer) is not PMReadBuffer):
-            return "subclassed read buffer"
-    return None
 
 
 def _pipes(ctx: ThreadContext) -> tuple:
@@ -152,10 +130,6 @@ def run_fastforward(ctx: ThreadContext) -> dict:
     """
     from repro.obs import get_tracer
 
-    reason = _unsupported(ctx)
-    if reason is not None:
-        ctx.run()
-        return _stats(False, reason)
     info = detect_period(ctx.trace, start_pc=ctx.pc,
                          min_periods=MIN_PERIODS)
     if info is None:

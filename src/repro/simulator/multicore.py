@@ -2,21 +2,21 @@
 
 Threads run on private cores (own cache + streamer) but share the
 memory backends — bandwidth pipes and, crucially, the PM read buffer.
-The scheduler always advances the thread with the smallest local clock
-(a conservative event ordering), stepping a small op batch at a time so
-cross-thread interactions through the shared state happen in near-
-causal order. This is where Obs. 5's read-buffer thrashing and the
-scalability plateaus of Fig. 7/13 come from.
+The interpreter (:func:`repro.simulator.engine.interpret`) always
+advances the thread with the smallest local clock by one op (a
+conservative event ordering), so cross-thread interactions through the
+shared state happen in causal order. This is where Obs. 5's
+read-buffer thrashing and the scalability plateaus of Fig. 7/13 come
+from.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from repro.obs import get_tracer
 from repro.simulator.counters import Counters
-from repro.simulator.engine import ThreadContext
+from repro.simulator.engine import ThreadContext, interpret
 from repro.simulator.memory import DRAMBackend, PMBackend
 from repro.simulator.params import HardwareConfig
 from repro.trace.ops import Trace
@@ -77,7 +77,6 @@ def make_backends(hw: HardwareConfig, counters: Counters):
 
 
 def simulate(traces: list[Trace], hw: HardwareConfig,
-             batch_ops: int = 1,
              contexts: list[ThreadContext] | None = None,
              drain: bool = True,
              fastforward: bool = False) -> SimResult:
@@ -89,15 +88,11 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
         One op trace per thread.
     hw:
         Testbed description.
-    batch_ops:
-        Ops executed per scheduling turn. The default of 1 keeps global
-        time monotonic across threads, which the busy-until bandwidth
-        pipes require (a thread running ahead would otherwise charge
-        phantom queue delays to threads behind it). Raise only for
-        single-thread runs.
     contexts:
         Pre-built thread contexts (advanced use: the DIALGA coordinator
         re-enters the simulator with live contexts between chunks).
+        They must share one ``Counters``, one pair of memory backends
+        and one ``HardwareConfig``; otherwise ``ValueError``.
     drain:
         Flush core caches at the end, accounting still-resident unused
         prefetches as useless. Pass False for intermediate chunks of a
@@ -120,47 +115,51 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
         ]
     else:
         counters = contexts[0].counters
+        _check_shared(contexts)
     tracer = get_tracer()
     if not tracer.enabled:
-        return _run(contexts, counters, batch_ops, drain, fastforward)
+        return _run(contexts, counters, drain, fastforward)
     t0 = min(ctx.clock for ctx in contexts)
     before = counters.snapshot()
     with tracer.sequenced(t0):
         span = tracer.begin("sim.run", t0, threads=len(contexts),
                             drain=drain)
-        result = _run(contexts, counters, batch_ops, drain, fastforward)
+        result = _run(contexts, counters, drain, fastforward)
         tracer.end(span, result.makespan_ns,
                    data_bytes=result.data_bytes,
                    **counters.delta(before).nonzero_dict("d_"))
     return result
 
 
-def _run(contexts: list[ThreadContext], counters: Counters,
-         batch_ops: int, drain: bool,
+def _check_shared(contexts: list[ThreadContext]) -> None:
+    """Reject contexts that do not share one machine (see ``interpret``)."""
+    ctx0 = contexts[0]
+    for ctx in contexts[1:]:
+        if (ctx.counters is not ctx0.counters
+                or ctx.load_backend is not ctx0.load_backend
+                or ctx.store_backend is not ctx0.store_backend
+                or ctx.hw != ctx0.hw):
+            raise ValueError(
+                "contexts must share one Counters, one pair of memory "
+                "backends and one HardwareConfig")
+
+
+def _run(contexts: list[ThreadContext], counters: Counters, drain: bool,
          fastforward: bool = False) -> SimResult:
-    """The scheduling loop proper (tracing handled by the caller)."""
+    """Interpret every live context (tracing handled by the caller)."""
     ff_stats = None
-    heap: list[tuple[float, int]] = [
-        (ctx.clock, i) for i, ctx in enumerate(contexts) if not ctx.done
-    ]
-    if len(heap) == 1:
-        # One live thread: no cross-thread interleaving to arbitrate,
-        # so take the engine's inlined fast path (bit-identical to
-        # stepping — same operations, same order), optionally skipping
-        # steady-state stripe periods by exact extrapolation.
+    live = [ctx for ctx in contexts if not ctx.done]
+    if len(live) == 1:
+        # One live thread: optionally skip steady-state stripe periods
+        # by exact extrapolation (multicore contention couples threads
+        # through the shared backends, so only here).
         if fastforward:
             from repro.simulator.fastforward import run_fastforward
-            ff_stats = run_fastforward(contexts[heap[0][1]])
+            ff_stats = run_fastforward(live[0])
         else:
-            contexts[heap[0][1]].run()
-        heap = []
-    heapq.heapify(heap)
-    while heap:
-        _, idx = heapq.heappop(heap)
-        ctx = contexts[idx]
-        ctx.step(batch_ops)
-        if not ctx.done:
-            heapq.heappush(heap, (ctx.clock, idx))
+            live[0].run()
+    else:
+        interpret(contexts)
     if drain:
         for ctx in contexts:
             ctx.cache.drain()

@@ -132,6 +132,28 @@ def test_simulate_with_all_done_contexts():
     assert res.makespan_ns == 0.0
 
 
+@pytest.mark.parametrize("mismatch", ["counters", "backends", "hardware"])
+def test_simulate_rejects_contexts_not_sharing_one_machine(mismatch):
+    """The interpreter reads counters, backends and hw off context 0."""
+    counters = Counters()
+    load_b, store_b = make_backends(HW, counters)
+    first = ThreadContext(HW, counters, load_b, store_b,
+                          trace=Trace(ops=[(LOAD, 0)]))
+    other_counters = Counters()
+    other_load, other_store = make_backends(HW, other_counters)
+    second = {
+        "counters": lambda: ThreadContext(HW, other_counters, load_b, store_b),
+        "backends": lambda: ThreadContext(HW, counters, other_load,
+                                          other_store),
+        "hardware": lambda: ThreadContext(HW.with_cpu(freq_ghz=1.0),
+                                          counters, load_b, store_b),
+    }[mismatch]()
+    second.trace.extend(Trace(ops=[(LOAD, 4096)]))
+    with pytest.raises(ValueError, match="share one"):
+        simulate([], HW, contexts=[first, second])
+    assert first.pc == 0 and second.pc == 0
+
+
 def test_counters_merge_full_roundtrip():
     a = Counters()
     a.loads, a.media_read_bytes, a.load_stall_ns = 5, 512, 100.0

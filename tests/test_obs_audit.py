@@ -247,6 +247,13 @@ class TestMetricDirection:
                      "pass_fraction"):
             assert metric_direction(name) == "higher"
 
+    def test_rates_are_higher_is_better(self):
+        # ``_per_s`` ends in ``_s``; the rate rule must win over it.
+        for name in ("ops_per_s", "stripes_per_s", "svc_req_per_s",
+                     "sim_mt.mops_per_s", "trace.mops"):
+            assert metric_direction(name) == "higher", name
+        assert metric_direction("mean_regret_ns_per_byte") == "lower"
+
     def test_ungated(self):
         for name in ("cells", "workers", "mean_switches"):
             assert metric_direction(name) is None

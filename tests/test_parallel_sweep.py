@@ -218,7 +218,6 @@ def test_sim_key_depends_on_hardware_and_batching():
     k0 = sim_key([trace], hw)
     assert k0 == sim_key([trace], HardwareConfig())
     assert k0 != sim_key([trace], hw.with_pm(media_latency_ns=400.0))
-    assert k0 != sim_key([trace], hw, batch_ops=8)
     assert k0 != sim_key([trace, trace], hw)
 
 

@@ -10,13 +10,10 @@ pip install -e . 2>/dev/null || python setup.py develop
 echo "== unit / property / integration tests =="
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
-echo "== strict deprecation job (shimmed warnings allowlisted) =="
-# Internal code must be off the pre-1.1 API: any stock DeprecationWarning
-# is an error, while the repo's own shim warnings (exercised on purpose
-# by the shim round-trip tests) stay allowed.
+echo "== strict deprecation job =="
+# Any DeprecationWarning raised while the suite runs is an error.
 python -m pytest tests/ -q \
     -W error::DeprecationWarning \
-    -W "default::repro._deprecation.ReproDeprecationWarning" \
     2>&1 | tee strict_warnings_output.txt
 
 echo "== lint (ruff, skipped when unavailable) =="

@@ -37,7 +37,6 @@ Quickstart
 True
 """
 
-from repro._deprecation import ReproDeprecationWarning
 from repro.chaos import (
     CANNED_CAMPAIGNS,
     AuditReport,
@@ -101,7 +100,7 @@ from repro.service import (
 from repro.simulator import HardwareConfig, simulate, SimResult, Counters
 from repro.trace import Workload
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "RSCode",
@@ -120,7 +119,6 @@ __all__ = [
     "Cerasure",
     "UnsupportedWorkload",
     "GeometryMismatch",
-    "ReproDeprecationWarning",
     "PMStore",
     "FaultInjector",
     "FaultEvent",

@@ -14,7 +14,6 @@ Set ``REPRO_BENCH_SCALE`` (float) to shrink/grow simulated data volumes.
 from repro.bench.report import FigureResult, Check, fmt_value
 from repro.bench.runner import (
     run_libraries,
-    run_spec,
     scaled,
     standard_libraries,
     sweep_results_table,
@@ -32,7 +31,6 @@ __all__ = [
     "standard_libraries",
     "scaled",
     "sweep_spec",
-    "run_spec",
     "sweep_results_table",
     "benchmark_sweep",
     "smoke_grid",

@@ -7,7 +7,7 @@ import os
 from repro.core.dialga import DialgaConfig, DialgaEncoder
 from repro.libs import ISAL, ISALDecompose, Zerasure, Cerasure
 from repro.libs.base import CodingLibrary, LibraryResult, UnsupportedWorkload
-from repro.parallel import SweepResult, SweepSpec, run_sweep
+from repro.parallel import SweepResult, SweepSpec
 from repro.simulator import HardwareConfig
 from repro.trace import Workload
 
@@ -66,21 +66,15 @@ def sweep_spec(workloads, libraries=("ISA-L", "ISA-L-D", "Zerasure",
 
     Same axes the per-figure loops iterate — the paper's library set
     crossed with workloads and (optionally several) hardware configs —
-    expressed as one declarative grid that :func:`run_spec` can fan out
-    over a process pool or memoize.
+    expressed as one declarative grid that
+    :func:`~repro.parallel.run_sweep` can fan out over a process pool
+    or memoize.
     """
     if isinstance(workloads, Workload):
         workloads = (workloads,)
     kwargs = {"DIALGA": dialga_kwargs} if dialga_kwargs else ()
     return SweepSpec(libraries=tuple(libraries), workloads=tuple(workloads),
                      hardware=hardware or (), library_kwargs=kwargs)
-
-
-def run_spec(spec: SweepSpec, workers: int = 1,
-             cache=None) -> SweepResult:
-    """Run a sweep grid; thin alias of :func:`repro.parallel.run_sweep`
-    so bench callers stay within one import."""
-    return run_sweep(spec, workers=workers, cache=cache)
 
 
 def sweep_results_table(result: SweepResult) -> dict[str, list[float | None]]:

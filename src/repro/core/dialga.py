@@ -8,9 +8,7 @@ path: the adaptive coordinator picks a kernel entry point (policy) from
 the I/O pattern, hill-climbs the software-prefetch distance on a probe,
 and re-decides between chunks from sampled counters.
 
-Tuning knobs live in one keyword-only :class:`DialgaConfig`; the
-pre-1.1 loose constructor keywords still work behind deprecation shims
-for one release.
+Tuning knobs live in one keyword-only :class:`DialgaConfig`.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro.codes.rs import RSCode
 from repro.core.coordinator import AdaptiveCoordinator, CoordinatorConfig
 from repro.core.policy import Policy
@@ -72,18 +69,6 @@ class DialgaConfig:
         return replace(self, **kwargs)
 
 
-#: Pre-1.1 constructor keywords, in their old positional order, mapped
-#: to the DialgaConfig field that replaced each.
-_LEGACY_FIELDS = (
-    ("field", "field"),
-    ("adaptive", "adaptive"),
-    ("chunks", "chunks"),
-    ("policy_override", "policy_override"),
-    ("use_probe", "use_probe"),
-    ("coordinator_config", "coordinator"),
-)
-
-
 class DialgaEncoder(CodingLibrary):
     """Adaptive prefetcher-scheduled erasure coding on PM.
 
@@ -93,29 +78,13 @@ class DialgaEncoder(CodingLibrary):
         Code geometry.
     config:
         Keyword-only :class:`DialgaConfig` with every tuning knob.
-
-    The pre-1.1 spelling — ``DialgaEncoder(k, m, adaptive=...,
-    chunks=..., policy_override=..., use_probe=...,
-    coordinator_config=...)`` — still works but emits a
-    :class:`~repro._deprecation.ReproDeprecationWarning`.
     """
 
     name = "DIALGA"
     supports_policy = True
 
-    def __init__(self, k: int, m: int, *legacy_args,
-                 config: DialgaConfig | None = None, **legacy_kwargs):
-        legacy = self._fold_legacy(legacy_args, legacy_kwargs)
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    f"pass either config= or the deprecated keywords "
-                    f"{sorted(legacy)}, not both")
-            warn_deprecated(
-                "DialgaEncoder(..., "
-                + ", ".join(f"{k}=..." for k in sorted(legacy))
-                + ") is deprecated; pass config=DialgaConfig(...) instead")
-            config = DialgaConfig(**legacy)
+    def __init__(self, k: int, m: int, *,
+                 config: DialgaConfig | None = None):
         self.config = config or DialgaConfig()
         self.code = RSCode(k, m, field=self.config.field)
         self.k, self.m = k, m
@@ -125,55 +94,6 @@ class DialgaEncoder(CodingLibrary):
         #: after a pinned/non-adaptive run) — exposes policy-switch
         #: events to the service layer.
         self.last_coordinator: AdaptiveCoordinator | None = None
-
-    @staticmethod
-    def _fold_legacy(args: tuple, kwargs: dict) -> dict:
-        """Map old positional/keyword constructor knobs onto DialgaConfig
-        field names; raises on unknown keywords."""
-        if len(args) > len(_LEGACY_FIELDS):
-            raise TypeError(
-                f"DialgaEncoder takes at most {2 + len(_LEGACY_FIELDS)} "
-                f"positional arguments")
-        legacy: dict = {}
-        for (old, new), value in zip(_LEGACY_FIELDS, args):
-            legacy[new] = value
-        for old, new in _LEGACY_FIELDS:
-            if old in kwargs:
-                if new in legacy:
-                    raise TypeError(f"duplicate value for {old!r}")
-                legacy[new] = kwargs.pop(old)
-        if kwargs:
-            raise TypeError(
-                f"DialgaEncoder got unexpected keyword argument(s) "
-                f"{sorted(kwargs)}")
-        return legacy
-
-    # -- config attribute compatibility (pre-1.1 public attributes) --------
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether between-chunk adaptation is enabled (from config)."""
-        return self.config.adaptive
-
-    @property
-    def chunks(self) -> int:
-        """Adaptation chunk count (from config, at least 1)."""
-        return max(1, self.config.chunks)
-
-    @property
-    def policy_override(self) -> Policy | None:
-        """Pinned policy, if any (from config)."""
-        return self.config.policy_override
-
-    @property
-    def use_probe(self) -> bool:
-        """Whether the hill-climbing probe is enabled (from config)."""
-        return self.config.use_probe
-
-    @property
-    def coordinator_config(self) -> CoordinatorConfig | None:
-        """Coordinator threshold overrides (from config)."""
-        return self.config.coordinator
 
     @property
     def policy_switches(self) -> int:
@@ -213,9 +133,9 @@ class DialgaEncoder(CodingLibrary):
     def coordinator_for(self, wl: Workload, hw: HardwareConfig) -> AdaptiveCoordinator:
         """Build the coordinator (exposed for tests/examples)."""
         probe = policy_probe = None
-        if self.use_probe:
+        if self.config.use_probe:
             probe, policy_probe = self._make_probe(wl, hw)
-        return AdaptiveCoordinator(wl, hw, config=self.coordinator_config,
+        return AdaptiveCoordinator(wl, hw, config=self.config.coordinator,
                                    probe=probe, policy_probe=policy_probe)
 
     def trace(self, wl: Workload, hw: HardwareConfig, thread: int,
@@ -223,22 +143,21 @@ class DialgaEncoder(CodingLibrary):
               stripes: int | None = None) -> Trace:
         """One thread's trace under ``policy`` (default: initial policy)."""
         if policy is None:
-            policy = (self.policy_override
+            policy = (self.config.policy_override
                       or AdaptiveCoordinator(wl, hw).policy)
         if stripes is not None:
             wl = wl.with_(data_bytes_per_thread=stripes * wl.stripe_data_bytes)
         return isal_trace(wl, hw.cpu, policy.to_variant(), thread=thread,
                           stripe_offset=stripe_offset)
 
-    def run(self, workload: Workload | None = None,
+    def run(self, workload: Workload,
             hardware: HardwareConfig | None = None, *,
-            policy: Policy | None = None, **legacy) -> LibraryResult:
+            policy: Policy | None = None) -> LibraryResult:
         """Simulate the workload with the full adaptive pipeline.
 
         ``policy`` pins a scheduling policy for this run only (it
         behaves like a per-call ``policy_override``).
         """
-        workload, hardware = self._resolve_run_args(workload, hardware, legacy)
         hw = hardware or HardwareConfig()
         wl = self.effective_workload(workload)
         hw = hw.with_cpu(simd=wl.simd)
@@ -247,10 +166,10 @@ class DialgaEncoder(CodingLibrary):
                 f"workload geometry ({wl.k},{wl.m}) != encoder ({self.k},{self.m})")
         self.policy_log = []
         self.last_coordinator = None
-        pinned = policy or self.policy_override
-        if pinned is not None or not self.adaptive:
+        pinned = policy or self.config.policy_override
+        if pinned is not None or not self.config.adaptive:
             run_policy = pinned or AdaptiveCoordinator(
-                wl, hw, config=self.coordinator_config).policy
+                wl, hw, config=self.config.coordinator).policy
             self.policy_log.append(run_policy)
             traces = [self.trace(wl, hw, t, policy=run_policy)
                       for t in range(wl.nthreads)]
@@ -267,7 +186,7 @@ class DialgaEncoder(CodingLibrary):
         lp_wl = wl.with_(nthreads=1,
                          data_bytes_per_thread=3 * wl.stripe_data_bytes)
         lp_policy = AdaptiveCoordinator(lp_wl, hw,
-                                        config=self.coordinator_config).policy
+                                        config=self.config.coordinator).policy
         trace = isal_trace(lp_wl, hw.cpu, lp_policy.to_variant())
         res = simulate([trace], hw)
         coord.set_baseline(res.counters)
@@ -296,7 +215,7 @@ class DialgaEncoder(CodingLibrary):
         contexts = [ThreadContext(hw, counters, load_b, store_b)
                     for _ in range(wl.nthreads)]
         total_stripes = wl.stripes_per_thread
-        per_chunk = max(1, total_stripes // self.chunks)
+        per_chunk = max(1, total_stripes // max(1, self.config.chunks))
         # The replayer's default counterfactual window: one adaptation
         # chunk, exactly what each decision governed.
         coord.window_stripes = per_chunk

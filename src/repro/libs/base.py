@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro.simulator import HardwareConfig, SimResult, simulate
 from repro.trace import Trace, Workload
 
@@ -25,8 +24,7 @@ class GeometryMismatch(ValueError):
 
     Raised by :meth:`CodingLibrary.run` implementations that are bound
     to a fixed code geometry at construction time. Subclasses
-    ``ValueError`` so pre-1.1 ``except ValueError`` handlers keep
-    working.
+    ``ValueError`` so generic ``except ValueError`` handlers catch it.
     """
 
 
@@ -90,39 +88,15 @@ class CodingLibrary(abc.ABC):
             return wl.with_(simd=self.forced_simd)
         return wl
 
-    def _resolve_run_args(self, workload, hardware, legacy) -> tuple[Workload, HardwareConfig | None]:
-        """Fold the pre-1.1 ``wl=``/``hw=`` keyword spellings into the
-        uniform (workload, hardware) pair, with deprecation warnings."""
-        if "wl" in legacy:
-            if workload is not None:
-                raise TypeError("pass the workload once: positionally or as wl=")
-            workload = legacy.pop("wl")
-            warn_deprecated(
-                f"{type(self).__name__}.run(wl=...) is deprecated; "
-                "pass the workload positionally or as workload=")
-        if "hw" in legacy:
-            if hardware is not None:
-                raise TypeError("pass the hardware once: positionally or as hw=")
-            hardware = legacy.pop("hw")
-            warn_deprecated(
-                f"{type(self).__name__}.run(hw=...) is deprecated; "
-                "pass the testbed positionally or as hardware=")
-        if legacy:
-            raise TypeError(
-                f"run() got unexpected keyword argument(s) {sorted(legacy)}")
-        if workload is None:
-            raise TypeError("run() missing required argument: 'workload'")
-        return workload, hardware
-
     def _trace_with_policy(self, wl: Workload, hw: HardwareConfig,
                            thread: int, policy: "Policy | None") -> Trace:
         """Hook for policy-capable libraries; default ignores ``policy``
         (callers have already been rejected unless it is None)."""
         return self.trace(wl, hw, thread)
 
-    def run(self, workload: Workload | None = None,
+    def run(self, workload: Workload,
             hardware: HardwareConfig | None = None, *,
-            policy: "Policy | None" = None, **legacy) -> LibraryResult:
+            policy: "Policy | None" = None) -> LibraryResult:
         """Simulate the workload and return throughput + counters.
 
         Raises :class:`UnsupportedWorkload` when :meth:`supports` is
@@ -130,7 +104,6 @@ class CodingLibrary(abc.ABC):
         results"), or when ``policy`` is pinned on a library whose
         kernels cannot honor one.
         """
-        workload, hardware = self._resolve_run_args(workload, hardware, legacy)
         if policy is not None and not self.supports_policy:
             raise UnsupportedWorkload(
                 f"{self.name} has fixed kernels; cannot pin a scheduling policy")

@@ -1,9 +1,7 @@
 """The unified simulation entry point: :func:`simulate`.
 
-Pre-1.2 there were three overlapping ways to run a trace —
-``engine.run_single`` (single thread, private backends), the multicore
-runner in :mod:`repro.simulator.multicore`, and per-library ad-hoc
-loops. This facade subsumes all of them:
+Every simulation — one thread or many, fresh or resumed — goes
+through this one call:
 
 * ``simulate(trace, hw)`` — one trace, one thread;
 * ``simulate([t0, t1], hw)`` — one trace per thread over shared memory;

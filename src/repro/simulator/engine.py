@@ -529,24 +529,3 @@ def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
         c.buffer_evictions = c_buffer_evictions
         c.buffer_evictions_unused = c_buffer_evictions_unused
 
-
-def run_single(trace: Trace, hw: HardwareConfig) -> tuple[float, Counters]:
-    """Deprecated: execute one trace on a fresh private testbed.
-
-    Pre-1.2 spelling of single-thread simulation; returns
-    ``(finish_time_ns, counters)``. Use :func:`repro.simulate` —
-    ``simulate(trace, hw)`` returns a :class:`~repro.simulator.
-    multicore.SimResult` carrying the same finish time and counters.
-    """
-    from repro._deprecation import warn_deprecated
-    warn_deprecated(
-        "run_single(trace, hw) is deprecated; use repro.simulate(trace, "
-        "hardware) and read .makespan_ns / .counters off the result")
-    res = _run_single(trace, hw)
-    return res.makespan_ns, res.counters
-
-
-def _run_single(trace: Trace, hw: HardwareConfig):
-    """Single-trace simulation on private backends (facade internal)."""
-    from repro.simulator.multicore import simulate as _simulate
-    return _simulate([trace], hw)

@@ -57,7 +57,7 @@ from repro.simulator.engine import ThreadContext
 from repro.simulator.memory import PMBackend
 from repro.trace.period import detect_period
 
-__all__ = ["run_fastforward", "MIN_PERIODS", "CONFIRM_PERIODS"]
+__all__ = ["run_fastforward", "state_digest", "MIN_PERIODS", "CONFIRM_PERIODS"]
 
 #: Minimum complete periods for detection to bother reporting.
 MIN_PERIODS = 4
@@ -94,6 +94,30 @@ def _pipes(ctx: ThreadContext) -> tuple:
     if store is load:
         return load.pipes()
     return load.pipes() + store.pipes()
+
+
+def state_digest(ctx: ThreadContext, addr_shift: int) -> tuple[tuple, float]:
+    """Shift-invariant digest of every model the run touches.
+
+    Covers the cache, the stream table, the PM read buffer (when loads
+    come from PM) and every bandwidth pipe, with addresses rebased by
+    ``addr_shift`` and live times as offsets from ``ctx.clock``.
+    Returns ``(digest, furthest_live_offset_ns)``.
+    """
+    clock = ctx.clock
+    cache_digest, live = ctx.cache.state_digest(clock, addr_shift)
+    pipe_digest = []
+    for pipe in _pipes(ctx):
+        rel = pipe.rel_free(clock)
+        pipe_digest.append(rel)
+        if rel is not None and rel > live:
+            live = rel
+    pm = ctx.load_backend if type(ctx.load_backend) is PMBackend else None
+    digest = (cache_digest, ctx.prefetcher.state_digest(addr_shift),
+              pm.read_buffer.state_digest(addr_shift) if pm is not None
+              else (),
+              tuple(pipe_digest))
+    return digest, live
 
 
 def _jump_bound(value: float, per_period: float, extra: float) -> int | None:
@@ -217,18 +241,7 @@ def run_fastforward(ctx: ThreadContext) -> dict:
             # every later boundary's exact counter/dt equality keeps
             # certifying steadiness, so the digest need not be redone
             # until a cheap fingerprint breaks (a binade crossing).
-            shift = q * stride
-            cache_digest, max_live = cache.state_digest(clock, shift)
-            live = max_live
-            pipe_digest = []
-            for pipe in pipes:
-                rel = pipe.rel_free(clock)
-                pipe_digest.append(rel)
-                if rel is not None and rel > live:
-                    live = rel
-            digest = (cache_digest, prefetcher.state_digest(shift),
-                      rb.state_digest(shift) if rb is not None else (),
-                      tuple(pipe_digest))
+            digest, live = state_digest(ctx, q * stride)
             if (streak >= CONFIRM_PERIODS and prev_digest is not None
                     and digest == prev_digest):
                 validated = True

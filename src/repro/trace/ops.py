@@ -17,12 +17,6 @@ COMPUTE   CPU cycles of computation (float)
 FENCE     unused (0) — drain posted stores (``sfence``)
 ========  =======================================================
 
-The tuple view survives for compatibility: ``trace.ops`` is a mutable
-sequence proxy yielding ``(opcode, arg)`` tuples that supports
-``append``/``extend``/``insert``/slicing/assignment, so existing
-callers (and tests) that treat a trace as a list of tuples keep
-working unmodified.
-
 Generators build traces through :meth:`Trace.add`, which *coalesces
 consecutive COMPUTE ops* (summing their cycle counts) at generation
 time — runs of pure compute (common in XOR-schedule traces, where
@@ -47,69 +41,6 @@ _NAMES = {LOAD: "LOAD", STORE: "STORE", SWPF: "SWPF",
 def op_name(opcode: int) -> str:
     """Human-readable op name (for debugging/reporting)."""
     return _NAMES.get(opcode, f"op{opcode}")
-
-
-class OpsView:
-    """Mutable ``(opcode, arg)`` tuple view over a trace's parallel arrays.
-
-    Supports the list operations trace consumers historically used:
-    iteration, ``len``, indexing/slicing, ``append``, ``extend``,
-    ``insert`` and equality against tuple lists. Mutations write
-    through to the underlying arrays (verbatim — no coalescing).
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: "Trace"):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.opcodes)
-
-    def __iter__(self):
-        return zip(self._trace.opcodes, self._trace.args)
-
-    def __getitem__(self, index):
-        t = self._trace
-        if isinstance(index, slice):
-            return list(zip(t.opcodes[index], t.args[index]))
-        return (t.opcodes[index], t.args[index])
-
-    def __setitem__(self, index, value) -> None:
-        t = self._trace
-        if isinstance(index, slice):
-            pairs = list(value)
-            t.opcodes[index] = array("B", (int(op) for op, _ in pairs))
-            t.args[index] = array("d", (arg for _, arg in pairs))
-            return
-        op, arg = value
-        t.opcodes[index] = int(op)
-        t.args[index] = arg
-
-    def append(self, pair) -> None:
-        op, arg = pair
-        self._trace.opcodes.append(int(op))
-        self._trace.args.append(arg)
-
-    def extend(self, pairs) -> None:
-        for op, arg in pairs:
-            self._trace.opcodes.append(int(op))
-            self._trace.args.append(arg)
-
-    def insert(self, index: int, pair) -> None:
-        op, arg = pair
-        self._trace.opcodes.insert(index, int(op))
-        self._trace.args.insert(index, arg)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, OpsView):
-            other = list(other)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OpsView({list(self)!r})"
 
 
 class Trace:
@@ -165,21 +96,6 @@ class Trace:
         self.opcodes.extend(other.opcodes)
         self.args.extend(other.args)
         self.data_bytes += other.data_bytes
-
-    # -- tuple-view compatibility ----------------------------------------
-
-    @property
-    def ops(self) -> OpsView:
-        """Mutable ``(opcode, arg)`` tuple view (see :class:`OpsView`)."""
-        return OpsView(self)
-
-    @ops.setter
-    def ops(self, pairs) -> None:
-        self.opcodes = array("B")
-        self.args = array("d")
-        for op, arg in pairs:
-            self.opcodes.append(int(op))
-            self.args.append(arg)
 
     # -- introspection ----------------------------------------------------
 

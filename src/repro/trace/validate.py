@@ -79,7 +79,7 @@ def validate_isal_trace(trace: Trace, wl: Workload, thread: int = 0,
     sources = set(_source_blocks(wl))
     dests = set(_dest_blocks(wl))
     stats = TraceStats()
-    for op, arg in trace.ops:
+    for op, arg in zip(trace.opcodes, trace.args):
         if op == COMPUTE:
             stats.computes += 1
             stats.compute_cycles += arg

@@ -1,14 +1,12 @@
-"""The 1.1 API redesign: DialgaConfig, the uniform run() signature,
-deprecation shims, RS(n, k) constructors and the façade exports."""
+"""The 2.0 API: DialgaConfig, the uniform run() signature, RS(n, k)
+constructors and the façade exports."""
 
 import warnings
 
 import pytest
 
-from repro import ReproDeprecationWarning
 from repro.core import (
     AdaptiveCoordinator,
-    CoordinatorConfig,
     DialgaConfig,
     DialgaEncoder,
     Policy,
@@ -58,57 +56,23 @@ def test_encoder_takes_config_silently():
         warnings.simplefilter("error")
         enc = DialgaEncoder(6, 3, config=DialgaConfig(use_probe=False,
                                                       chunks=2))
-    assert not enc.use_probe and enc.chunks == 2
+    assert enc.config == DialgaConfig(use_probe=False, chunks=2)
 
 
-# ------------------------------------------------------ constructor shim
-
-def test_legacy_keywords_warn_and_round_trip():
-    with pytest.warns(ReproDeprecationWarning, match="DialgaConfig"):
-        enc = DialgaEncoder(6, 3, use_probe=False, chunks=2,
-                            adaptive=False)
-    assert enc.config == DialgaConfig(use_probe=False, chunks=2,
-                                      adaptive=False)
-
-
-def test_legacy_positional_args_warn_and_round_trip():
-    # Old order: field, adaptive, chunks, ...
-    with pytest.warns(ReproDeprecationWarning):
-        enc = DialgaEncoder(6, 3, None, False, 4)
-    assert not enc.adaptive and enc.chunks == 4
-
-
-def test_legacy_coordinator_config_maps_to_coordinator_field():
-    cc = CoordinatorConfig(thread_threshold=4)
-    with pytest.warns(ReproDeprecationWarning):
-        enc = DialgaEncoder(6, 3, coordinator_config=cc)
-    assert enc.config.coordinator is cc
-    assert enc.coordinator_config is cc  # compat property
-
-
-def test_mixing_config_and_legacy_keywords_is_an_error():
-    with pytest.raises(TypeError, match="not both"):
-        DialgaEncoder(6, 3, use_probe=False, config=DialgaConfig())
-
+# ------------------------------------------------------ constructor
 
 def test_unknown_constructor_keyword_is_an_error():
     with pytest.raises(TypeError, match="unexpected keyword"):
         DialgaEncoder(6, 3, turbo=True)
 
 
-def test_duplicate_positional_and_keyword_is_an_error():
-    with pytest.raises(TypeError, match="duplicate"):
-        DialgaEncoder(6, 3, None, False, adaptive=True)
+def test_zero_chunks_runs_like_one_chunk():
+    def run(chunks):
+        enc = DialgaEncoder(6, 3, config=DialgaConfig(use_probe=False,
+                                                      chunks=chunks))
+        return enc.run(WL, HW).sim
 
-
-def test_compat_properties_mirror_config():
-    enc = DialgaEncoder(6, 3, config=DialgaConfig(
-        adaptive=False, chunks=0, use_probe=False,
-        policy_override=Policy(hw_prefetch=False)))
-    assert enc.adaptive is False
-    assert enc.chunks == 1  # clamped, as the old attribute was used
-    assert enc.use_probe is False
-    assert enc.policy_override == Policy(hw_prefetch=False)
+    assert run(0) == run(1)
 
 
 # ------------------------------------------------------ uniform run()
@@ -123,18 +87,6 @@ def test_run_positional_and_keyword_agree(enc):
     a = enc.run(WL, HW)
     b = enc.run(workload=WL, hardware=HW)
     assert a.throughput_gbps == b.throughput_gbps
-
-
-def test_run_legacy_wl_hw_keywords_warn_but_agree(enc):
-    baseline = enc.run(WL, HW).throughput_gbps
-    with pytest.warns(ReproDeprecationWarning, match="wl="):
-        via_wl = enc.run(wl=WL, hw=HW)
-    assert via_wl.throughput_gbps == baseline
-
-
-def test_run_double_workload_is_an_error(enc):
-    with pytest.raises(TypeError, match="once"):
-        enc.run(WL, wl=WL)
 
 
 def test_run_missing_workload_is_an_error(enc):
@@ -241,7 +193,7 @@ def test_facade_exports_the_new_surface():
     import repro
 
     for name in ("DialgaConfig", "PolicySwitch", "GeometryMismatch",
-                 "ReproDeprecationWarning", "TransientFault",
+                 "TransientFault",
                  "ErasureCodingService", "ServiceConfig", "Request",
                  "RequestResult", "RetryPolicy", "MetricsRegistry"):
         assert name in repro.__all__

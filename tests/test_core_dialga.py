@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import DialgaEncoder, HardwareConfig, Workload, ISAL
+from repro import DialgaConfig, DialgaEncoder, HardwareConfig, Workload, ISAL
 from repro.core import (
     AdaptiveCoordinator,
     CoordinatorConfig,
@@ -172,7 +172,7 @@ def test_prefetch_pointer_table_matches_trace_generator():
     wl = Workload(k=4, m=2, block_bytes=1024, data_bytes_per_thread=4096)
     variant = IsalVariant(sw_prefetch_distance=4, bf_first_line_distance=8)
     trace = isal_trace(wl, CPUConfig(), variant)
-    emitted = [a for op, a in trace.ops if op == SWPF]
+    emitted = [a for op, a in zip(trace.opcodes, trace.args) if op == SWPF]
     lay = StripeLayout(4, 2, 1024)
     table = build_prefetch_pointers(lay, 0, list(range(16)), d=4, d_first=8)
     expected = [t for ts in table for t in ts]
@@ -281,37 +281,37 @@ def test_coordinator_fluctuation_triggers_research():
 
 def test_dialga_geometry_mismatch():
     with pytest.raises(ValueError, match="geometry"):
-        DialgaEncoder(8, 4, use_probe=False).run(_wl(k=6), HW)
+        DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False)).run(_wl(k=6), HW)
 
 
 def test_dialga_policy_log_populated():
-    enc = DialgaEncoder(8, 4, use_probe=False, chunks=4)
+    enc = DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False, chunks=4))
     enc.run(_wl(), HW)
     assert len(enc.policy_log) >= 4
 
 
 def test_dialga_policy_override():
     pol = Policy(hw_prefetch=False, sw_distance=16)
-    enc = DialgaEncoder(8, 4, policy_override=pol)
+    enc = DialgaEncoder(8, 4, config=DialgaConfig(policy_override=pol))
     enc.run(_wl(), HW)
     assert enc.policy_log == [pol]
 
 
 def test_dialga_beats_isal_on_pm():
     wl = _wl(data_bytes_per_thread=96 * 1024)
-    d = DialgaEncoder(8, 4, use_probe=False).run(wl, HW)
+    d = DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False)).run(wl, HW)
     i = ISAL(8, 4).run(wl, HW)
     assert d.throughput_gbps > i.throughput_gbps
 
 
 def test_dialga_nonadaptive_single_policy():
-    enc = DialgaEncoder(8, 4, adaptive=False, use_probe=False)
+    enc = DialgaEncoder(8, 4, config=DialgaConfig(adaptive=False, use_probe=False))
     enc.run(_wl(), HW)
     assert len(enc.policy_log) == 1
 
 
 def test_dialga_high_pressure_uses_xpline():
-    enc = DialgaEncoder(24, 4, use_probe=False, chunks=2)
+    enc = DialgaEncoder(24, 4, config=DialgaConfig(use_probe=False, chunks=2))
     wl = Workload(k=24, m=4, block_bytes=1024, nthreads=14,
                   data_bytes_per_thread=32 * 1024)
     enc.run(wl, HW)

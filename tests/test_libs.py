@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (
-    ISAL, ISALDecompose, Zerasure, Cerasure, DialgaEncoder,
+    ISAL, ISALDecompose, Zerasure, Cerasure, DialgaConfig, DialgaEncoder,
     HardwareConfig, Workload, UnsupportedWorkload,
 )
 
@@ -21,7 +21,7 @@ ALL_LIBS = [
     lambda: ISALDecompose(6, 3, group_size=4),
     lambda: Zerasure(6, 3),
     lambda: Cerasure(6, 3),
-    lambda: DialgaEncoder(6, 3, use_probe=False),
+    lambda: DialgaEncoder(6, 3, config=DialgaConfig(use_probe=False)),
 ]
 
 

@@ -120,7 +120,7 @@ def test_isal_trace_op_counts():
 def test_isal_trace_row_major_addresses():
     wl = _wl(data_bytes_per_thread=4096)
     t = isal_trace(wl, CPU)
-    loads = [arg for op, arg in t.ops if op == LOAD]
+    loads = [arg for op, arg in zip(t.opcodes, t.args) if op == LOAD]
     lay = StripeLayout(wl.k, wl.m, wl.block_bytes)
     # First row: line 0 of each of the k blocks.
     assert loads[:4] == [lay.line_addr(0, j, 0) for j in range(4)]
@@ -149,7 +149,7 @@ def test_isal_trace_sw_prefetch_targets():
     wl = _wl(data_bytes_per_thread=4096)
     d = wl.k  # one row ahead
     t = isal_trace(wl, CPU, IsalVariant(sw_prefetch_distance=d))
-    ops = t.ops
+    ops = list(zip(t.opcodes, t.args))
     # Each SWPF must target the address loaded exactly d loads later.
     loads = [arg for op, arg in ops if op == LOAD]
     swpfs = [arg for op, arg in ops if op == SWPF]
@@ -163,21 +163,21 @@ def test_isal_trace_shuffle_preserves_coverage():
     wl = _wl(data_bytes_per_thread=4096)
     base = isal_trace(wl, CPU)
     shuf = isal_trace(wl, CPU, IsalVariant(shuffle=True))
-    assert sorted(a for op, a in base.ops if op == LOAD) == \
-           sorted(a for op, a in shuf.ops if op == LOAD)
-    assert [a for op, a in base.ops if op == LOAD] != \
-           [a for op, a in shuf.ops if op == LOAD]
+    assert sorted(a for op, a in zip(base.opcodes, base.args) if op == LOAD) == \
+           sorted(a for op, a in zip(shuf.opcodes, shuf.args) if op == LOAD)
+    assert [a for op, a in zip(base.opcodes, base.args) if op == LOAD] != \
+           [a for op, a in zip(shuf.opcodes, shuf.args) if op == LOAD]
 
 
 def test_isal_trace_bf_distances():
     wl = _wl(data_bytes_per_thread=4096)
     t = isal_trace(wl, CPU, IsalVariant(sw_prefetch_distance=4,
                                         bf_first_line_distance=8))
-    loads = [arg for op, arg in t.ops if op == LOAD]
+    loads = [arg for op, arg in zip(t.opcodes, t.args) if op == LOAD]
     # Walk ops: every SWPF targeting a first-line-of-XPLine must sit
     # 8 elements ahead; others 4 elements ahead.
     n = 0
-    for op, arg in t.ops:
+    for op, arg in zip(t.opcodes, t.args):
         if op == LOAD:
             n += 1
         elif op == SWPF:
@@ -191,7 +191,7 @@ def test_isal_trace_bf_distances():
 def test_isal_trace_xpline_granularity_groups_lines():
     wl = _wl(data_bytes_per_thread=4096)
     t = isal_trace(wl, CPU, IsalVariant(xpline_granularity=True))
-    loads = [arg for op, arg in t.ops if op == LOAD]
+    loads = [arg for op, arg in zip(t.opcodes, t.args) if op == LOAD]
     # First four loads are 4 consecutive lines of block 0.
     assert loads[1] - loads[0] == 64
     assert loads[3] - loads[0] == 192
@@ -199,7 +199,7 @@ def test_isal_trace_xpline_granularity_groups_lines():
     assert loads[4] - loads[0] >= 4096
     # Same total coverage as row-major.
     base = isal_trace(wl, CPU)
-    assert sorted(loads) == sorted(a for op, a in base.ops if op == LOAD)
+    assert sorted(loads) == sorted(a for op, a in zip(base.opcodes, base.args) if op == LOAD)
 
 
 def test_isal_trace_decompose_parity_reload():
@@ -257,7 +257,7 @@ def test_xor_trace_small_block_subline_packets():
     sched = naive_schedule(bm, 4, 2, 8)
     wl = _wl(block_bytes=256, data_bytes_per_thread=1024)
     t = xor_schedule_trace(wl, CPU, sched)
-    loads = [a for op, a in t.ops if op == LOAD]
+    loads = [a for op, a in zip(t.opcodes, t.args) if op == LOAD]
     lay = StripeLayout(4, 2, 256)
     # All loads fall inside data blocks.
     for a in loads:

@@ -73,7 +73,9 @@ def test_detects_unaligned_address():
 def test_detects_coverage_hole():
     wl = _wl(data_bytes_per_thread=6 * 1024)
     trace = isal_trace(wl, CPU)
-    trace.ops = [op for op in trace.ops if op[0] != LOAD or op[1] % 4096]
+    trace = Trace(ops=[(op, a) for op, a in zip(trace.opcodes, trace.args)
+                       if op != LOAD or a % 4096],
+                  data_bytes=trace.data_bytes)
     with pytest.raises(TraceValidationError, match="coverage hole"):
         validate_isal_trace(trace, wl)
 
@@ -81,8 +83,9 @@ def test_detects_coverage_hole():
 def test_detects_duplicate_loads():
     wl = _wl(data_bytes_per_thread=6 * 1024)
     trace = isal_trace(wl, CPU)
-    first_load = next(op for op in trace.ops if op[0] == LOAD)
-    trace.ops.append(first_load)
+    first_load = trace.args[trace.opcodes.index(LOAD)]
+    trace.opcodes.append(LOAD)
+    trace.args.append(first_load)
     with pytest.raises(TraceValidationError, match="more than once"):
         validate_isal_trace(trace, wl)
 
@@ -91,7 +94,8 @@ def test_detects_store_to_data_block():
     wl = _wl(data_bytes_per_thread=6 * 1024)
     lay = StripeLayout(wl.k, wl.m, wl.block_bytes)
     trace = isal_trace(wl, CPU)
-    trace.ops.append((STORE, lay.line_addr(0, 0, 0)))
+    trace.opcodes.append(STORE)
+    trace.args.append(lay.line_addr(0, 0, 0))
     with pytest.raises(TraceValidationError, match="non-destination"):
         validate_isal_trace(trace, wl)
 
@@ -100,7 +104,8 @@ def test_detects_parity_prefetch():
     wl = _wl(data_bytes_per_thread=6 * 1024)
     lay = StripeLayout(wl.k, wl.m, wl.block_bytes)
     trace = isal_trace(wl, CPU)
-    trace.ops.insert(0, (SWPF, lay.line_addr(0, wl.k, 0)))
+    trace.opcodes.insert(0, SWPF)
+    trace.args.insert(0, lay.line_addr(0, wl.k, 0))
     with pytest.raises(TraceValidationError, match="non-source"):
         validate_isal_trace(trace, wl)
 
@@ -112,12 +117,12 @@ def test_decode_loads_surviving_parity_blocks():
     lay = StripeLayout(wl.k, wl.m, wl.block_bytes)
     loaded_blocks = {
         ((a - lay.thread_base) // 4096) % (wl.k + wl.m)
-        for op, a in trace.ops if op == LOAD
+        for op, a in zip(trace.opcodes, trace.args) if op == LOAD
     }
     assert loaded_blocks == set(range(2, wl.k)) | {wl.k, wl.k + 1}
     stored_blocks = {
         ((a - lay.thread_base) // 4096) % (wl.k + wl.m)
-        for op, a in trace.ops if op == STORE
+        for op, a in zip(trace.opcodes, trace.args) if op == STORE
     }
     assert stored_blocks == {0, 1}
 
@@ -125,6 +130,8 @@ def test_decode_loads_surviving_parity_blocks():
 def test_detects_missing_fence():
     wl = _wl(data_bytes_per_thread=6 * 1024)
     trace = isal_trace(wl, CPU)
-    trace.ops = [op for op in trace.ops if op[0] != FENCE]
+    trace = Trace(ops=[(op, a) for op, a in zip(trace.opcodes, trace.args)
+                       if op != FENCE],
+                  data_bytes=trace.data_bytes)
     with pytest.raises(TraceValidationError, match="fences"):
         validate_isal_trace(trace, wl)

@@ -35,7 +35,7 @@ def test_update_targets_rotate_through_blocks():
     t = update_trace(wl, CPU)
     lay = StripeLayout(wl.k, wl.m, wl.block_bytes)
     data_loads = set()
-    for op, a in t.ops:
+    for op, a in zip(t.opcodes, t.args):
         if op == LOAD:
             block = ((a - lay.thread_base) // 4096) % (wl.k + wl.m)
             if block < wl.k:
@@ -47,8 +47,8 @@ def test_update_swpf_targets_future_loads():
     wl = _wl(data_bytes_per_thread=8192)
     d = 1 + wl.m  # one row ahead
     t = update_trace(wl, CPU, sw_prefetch_distance=d)
-    loads = [a for op, a in t.ops if op == LOAD]
-    swpfs = [a for op, a in t.ops if op == SWPF]
+    loads = [a for op, a in zip(t.opcodes, t.args) if op == LOAD]
+    swpfs = [a for op, a in zip(t.opcodes, t.args) if op == SWPF]
     for n, target in enumerate(swpfs):
         assert target == loads[n + d]
 
@@ -58,7 +58,7 @@ def test_update_stores_hit_data_and_parity():
     t = update_trace(wl, CPU)
     lay = StripeLayout(wl.k, wl.m, wl.block_bytes)
     stored_blocks = {((a - lay.thread_base) // 4096) % (wl.k + wl.m)
-                     for op, a in t.ops if op == STORE}
+                     for op, a in zip(t.opcodes, t.args) if op == STORE}
     assert 0 in stored_blocks            # the updated data block
     assert wl.k in stored_blocks         # first parity
 
@@ -84,8 +84,8 @@ def test_update_stripe_offset():
     wl = _wl(data_bytes_per_thread=8192)
     a = update_trace(wl, CPU, stripe_offset=0)
     b = update_trace(wl, CPU, stripe_offset=10)
-    addrs_a = {arg for op, arg in a.ops if op in (LOAD, STORE)}
-    addrs_b = {arg for op, arg in b.ops if op in (LOAD, STORE)}
+    addrs_a = {arg for op, arg in zip(a.opcodes, a.args) if op in (LOAD, STORE)}
+    addrs_b = {arg for op, arg in zip(b.opcodes, b.args) if op in (LOAD, STORE)}
     assert not (addrs_a & addrs_b)
 
 
@@ -94,6 +94,7 @@ def test_update_trace_compute_scales_with_m():
     from repro.trace import COMPUTE
     wl2 = _wl(m=2, data_bytes_per_thread=8192)
     wl8 = _wl(m=8, data_bytes_per_thread=8192)
-    c2 = sum(a for op, a in update_trace(wl2, CPU).ops if op == COMPUTE)
-    c8 = sum(a for op, a in update_trace(wl8, CPU).ops if op == COMPUTE)
+    t2, t8 = update_trace(wl2, CPU), update_trace(wl8, CPU)
+    c2 = sum(a for op, a in zip(t2.opcodes, t2.args) if op == COMPUTE)
+    c8 = sum(a for op, a in zip(t8.opcodes, t8.args) if op == COMPUTE)
     assert c8 > c2

@@ -53,12 +53,12 @@ def test_xor_decomposed_trace_structure():
                   data_bytes_per_thread=48 * 1024)
     trace = c.trace(wl, HW, thread=0)
     lay = StripeLayout(48, 4, 1024)
-    loads = [a for op, a in trace.ops if op == LOAD]
+    loads = [a for op, a in zip(trace.opcodes, trace.args) if op == LOAD]
     # data loads touch all 48 blocks; parity reload loads touch parity
     blocks = {((a - lay.thread_base) // 4096) % 52 for a in loads}
     assert set(range(48)) <= blocks
     assert 48 in blocks  # parity reload
-    stores = [a for op, a in trace.ops if op == STORE]
+    stores = [a for op, a in zip(trace.opcodes, trace.args) if op == STORE]
     assert len(stores) == 3 * 4 * 16  # 3 passes x m x lines
 
 

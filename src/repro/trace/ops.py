@@ -17,11 +17,15 @@ COMPUTE   CPU cycles of computation (float)
 FENCE     unused (0) — drain posted stores (``sfence``)
 ========  =======================================================
 
-Generators build traces through :meth:`Trace.add`, which *coalesces
+Generators emit ops through :meth:`Trace.add`, which *coalesces
 consecutive COMPUTE ops* (summing their cycle counts) at generation
 time — runs of pure compute (common in XOR-schedule traces, where
 parity-source program steps emit no loads) collapse into one op before
-the simulator ever sees them.
+the simulator ever sees them. The ISA-L-family generator emits only
+one stripe that way and tiles it over the remaining stripes with numpy,
+writing ``opcodes`` and ``args`` directly
+(:mod:`repro.trace.isal_gen`); the update and XOR-schedule generators
+emit every op.
 """
 
 from __future__ import annotations

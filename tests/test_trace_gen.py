@@ -218,6 +218,21 @@ def test_isal_trace_decompose_validation():
         isal_trace(_wl(), CPU, IsalVariant(decompose_group=0))
 
 
+@pytest.mark.parametrize("field", ["sw_prefetch_distance",
+                                   "bf_first_line_distance",
+                                   "decompose_group"])
+@pytest.mark.parametrize("value", [-3, 0])
+def test_variant_rejects_non_positive_distances(field, value):
+    """A prefetch distance below 1 would emit wrapped or self-targeting
+    prefetch addresses, a group below 1 no passes; the variant refuses
+    both instead."""
+    with pytest.raises(ValueError, match=field):
+        IsalVariant(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        IsalVariant().with_(**{field: value})
+    IsalVariant(**{field: 1})  # the smallest valid value
+
+
 def test_isal_trace_odd_block_size():
     wl = _wl(block_bytes=5 * 1024, data_bytes_per_thread=5 * 1024 * 4)
     t = isal_trace(wl, CPU)

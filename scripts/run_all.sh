@@ -102,10 +102,14 @@ echo "== perfbench job (benchmark smoke + seed-0 digest pins) =="
 # check), so a rename or a byte drift in the interpreter fails here.
 # The traced encode_long run does the same for the tiled ISA-L traces:
 # its digest pin and the fast-forward == interpretation cross-check
-# run on what isal_trace generates.
+# run on what isal_trace generates. The store_mixed and service_open
+# runs check the other two pins: the PMStore/WAL/codec digest, and the
+# service digest with its coding-job memo in play.
 python -m pytest perfbench/test_smoke.py -q
 python3 perfbench/run.py --workload encode_mt --seed 0 --seconds 0 --trace 1
 python3 perfbench/run.py --workload encode_long --seed 0 --seconds 0 --trace 1
+python3 perfbench/run.py --workload store_mixed --seed 0 --seconds 0 --trace 1
+python3 perfbench/run.py --workload service_open --seed 0 --seconds 0 --trace 1
 
 echo "== chaos smoke job (seeded campaign, durability audit must be clean) =="
 # A short seeded chaos campaign must end with zero acknowledged-write

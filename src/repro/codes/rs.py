@@ -17,6 +17,30 @@ from repro.matrix.cauchy import systematic_cauchy
 from repro.codes.stripe import Stripe
 
 
+_MATRIX_BUILDERS = {
+    "vandermonde": systematic_vandermonde,
+    "cauchy": systematic_cauchy,
+}
+
+#: Generators built so far, keyed by ``(w, poly, k, m, matrix)``.
+_GENERATORS: dict[tuple[int, int, int, int, str], np.ndarray] = {}
+
+
+def _generator(field: GF, k: int, m: int, matrix: str) -> np.ndarray:
+    """The systematic generator for ``(field, k, m, matrix)``, built once
+    per process and returned as a shared read-only array (construction
+    inverts a Vandermonde/Cauchy block: milliseconds per code)."""
+    key = (field.w, field.tables.poly, k, m, matrix)
+    gen = _GENERATORS.get(key)
+    if gen is None:
+        if matrix not in _MATRIX_BUILDERS:
+            raise ValueError(f"unknown matrix kind {matrix!r}")
+        gen = _MATRIX_BUILDERS[matrix](field, k, m)
+        gen.flags.writeable = False
+        _GENERATORS[key] = gen
+    return gen
+
+
 class RSCode:
     """Systematic Reed-Solomon code.
 
@@ -54,12 +78,9 @@ class RSCode:
         self.k = k
         self.m = m
         self.matrix_kind = matrix
-        if matrix == "vandermonde":
-            self.generator = systematic_vandermonde(self.field, k, m)
-        elif matrix == "cauchy":
-            self.generator = systematic_cauchy(self.field, k, m)
-        else:
-            raise ValueError(f"unknown matrix kind {matrix!r}")
+        #: The (k+m) x k systematic generator, shared read-only by every
+        #: code of the same field, geometry and matrix kind.
+        self.generator = _generator(self.field, k, m, matrix)
         #: The m x k parity-coefficient block (bottom of the generator).
         self.parity_rows = self.generator[k:]
 

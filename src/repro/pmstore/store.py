@@ -152,6 +152,8 @@ class PMStore:
                  verify_reads: bool = False,
                  pm_capacity_bytes: int = 64 << 20,
                  wal_capacity_bytes: int = 32 << 20):
+        if block_bytes < 1:
+            raise ValueError(f"block_bytes must be >= 1, got {block_bytes}")
         self.k, self.m = k, m
         self.block_bytes = block_bytes
         self.lrc_l = lrc_l

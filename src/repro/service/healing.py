@@ -146,9 +146,6 @@ class SelfHealer:
         self.repairs = RepairQueue()
         self.service = None
         self._scrubber: Scrubber | None = None
-        #: Per-erasure-count decode makespans (geometry is fixed, so a
-        #: repair's simulated cost is a pure function of its erasures).
-        self._repair_cost_ns: dict[int, float] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -241,13 +238,12 @@ class SelfHealer:
         return service.admission.try_admit(self.maintenance_threads)
 
     def _decode_cost_ns(self, service, erasures: int) -> float:
-        """Simulated one-stripe decode makespan (memoized, untraced —
-        a cost *estimate* must not emit simulator spans)."""
-        if erasures not in self._repair_cost_ns:
-            with use_tracer(None):
-                self._repair_cost_ns[erasures] = service._coding_makespan(
-                    1, op="decode", erasures=erasures)
-        return self._repair_cost_ns[erasures]
+        """Simulated one-stripe decode makespan, untraced (a cost
+        *estimate* must not emit simulator spans) and so answered from
+        the service's coding-job memo after the first repair."""
+        with use_tracer(None):
+            return service._coding_makespan(1, op="decode",
+                                            erasures=erasures)
 
     def _repair_one(self, service, now: float,
                     end_ns: float) -> float | None:

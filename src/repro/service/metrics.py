@@ -122,10 +122,19 @@ class LatencyHistogram:
 
 
 class MetricsRegistry:
-    """Counters + per-operation latency histograms + queue-depth gauge."""
+    """Counters + per-operation latency histograms + queue-depth gauge,
+    plus host-work counters.
+
+    ``counters`` describe the simulated service and are identical with
+    tracing on or off. ``work`` counts host work, e.g.
+    ``coding_jobs_simulated`` vs ``coding_jobs_reused`` (memo hits). It
+    is deterministic for a given input, but a traced run simulates every
+    coding job that an untraced one reuses, so it is kept apart.
+    """
 
     def __init__(self):
         self.counters: dict[str, int] = defaultdict(int)
+        self.work: dict[str, int] = defaultdict(int)
         self.latency: dict[str, LatencyHistogram] = defaultdict(LatencyHistogram)
         self._queue_depths: list[int] = []
 
@@ -134,6 +143,10 @@ class MetricsRegistry:
     def inc(self, name: str, by: int = 1) -> None:
         """Bump a counter."""
         self.counters[name] += by
+
+    def inc_work(self, name: str, by: int = 1) -> None:
+        """Bump a host-work counter."""
+        self.work[name] += by
 
     def observe_latency(self, op: str, latency_ns: float) -> None:
         """Record one request latency under operation label ``op``."""
@@ -162,6 +175,7 @@ class MetricsRegistry:
         """Everything, as one nested JSON-ready dict."""
         return {
             "counters": dict(self.counters),
+            "work": dict(self.work),
             "latency": {op: h.summary() for op, h in self.latency.items()},
             "queue": {
                 "samples": len(self._queue_depths),
@@ -176,6 +190,8 @@ class MetricsRegistry:
         lines = ["-- service metrics --"]
         for name in sorted(snap["counters"]):
             lines.append(f"  {name:<28} {snap['counters'][name]}")
+        for name in sorted(snap["work"]):
+            lines.append(f"  {name + ' (work)':<28} {snap['work'][name]}")
         for op in sorted(snap["latency"]):
             s = snap["latency"][op]
             lines.append(

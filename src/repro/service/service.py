@@ -41,6 +41,7 @@ from repro.service.queue import BatchKey, Batch, RequestQueue
 from repro.service.request import Request, RequestKind, RequestResult, RequestStatus
 from repro.service.retry import RetryPolicy
 from repro.simulator.params import HardwareConfig
+from repro.trace.layout import LINE
 from repro.trace.workload import Workload
 
 
@@ -86,6 +87,14 @@ class ServiceConfig:
     verify_reads: bool = False
     overload: OverloadConfig | None = None
 
+    def __post_init__(self):
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if not (math.isfinite(self.base_latency_ns)
+                and self.base_latency_ns >= 0):
+            raise ValueError("base_latency_ns must be finite and >= 0, "
+                             f"got {self.base_latency_ns}")
+
 
 class ErasureCodingService:
     """A concurrent EC object service over the simulated PM testbed.
@@ -96,7 +105,8 @@ class ErasureCodingService:
         Stripe geometry (one service serves one geometry; this is what
         makes queue coalescing and Eq.-(1) accounting exact).
     block_bytes:
-        Stripe block size.
+        Stripe block size; at least one 64 B cache line (the simulated
+        stripe layout's unit).
     library:
         Coding library charged for simulated encode/decode time
         (default: a probe-less :class:`DialgaEncoder`). Must match
@@ -111,6 +121,9 @@ class ErasureCodingService:
                  library: CodingLibrary | None = None,
                  hw: HardwareConfig | None = None,
                  config: ServiceConfig | None = None):
+        if block_bytes < LINE:
+            raise ValueError(f"block_bytes must be >= {LINE} (one cache "
+                             f"line), got {block_bytes}")
         self.k, self.m = k, m
         self.block_bytes = block_bytes
         self.config = config or ServiceConfig()
@@ -141,7 +154,9 @@ class ErasureCodingService:
         #: until_ns). Reads touching one pay the penalty unless the
         #: brownout / hedging paths route around it.
         self.slow_devices: dict[int, tuple[float, float]] = {}
-        self._hedge_decode_memo: float | None = None
+        #: Simulated coding-job costs, ``Workload -> (makespan_ns,
+        #: policy_switches)``; see :meth:`_job_makespan`.
+        self._job_memo: dict[Workload, tuple[float, int]] = {}
         #: Optional :class:`~repro.service.healing.SelfHealer` run in
         #: the event loop's idle gaps (see :meth:`attach_healer`).
         self.healer = None
@@ -516,17 +531,19 @@ class ErasureCodingService:
                 return RequestResult(request, RequestStatus.FAILED,
                                      retries=retries, error=str(exc)), delay
 
-    def _coding_makespan(self, stripes: int, op: str = "encode",
-                         erasures: int = 0) -> float:
-        """Simulate one coalesced coding job of ``stripes`` stripes."""
-        if stripes < 1:
-            return 0.0
-        threads = self.config.threads_per_job
-        per_thread = max(1, math.ceil(stripes / threads)) * \
-            self.k * self.block_bytes
-        wl = Workload(k=self.k, m=self.m, block_bytes=self.block_bytes,
-                      nthreads=threads, data_bytes_per_thread=per_thread,
-                      op=op, erasures=erasures)
+    def _job_makespan(self, wl: Workload) -> tuple[float, int]:
+        """Simulated ``(makespan_ns, policy_switches)`` of one coding job.
+
+        A job is a pure function of ``(wl, hw, library)``, and a service
+        fixes ``hw`` and ``library``, so untraced calls answer repeated
+        workloads from a per-instance memo keyed by the frozen
+        :class:`Workload`. While the ambient tracer is enabled every job
+        is simulated, so each batch keeps its ``sim.*``/``dialga.run``
+        spans and decision events; traced calls store into the memo but
+        never read from it. After a reused job,
+        ``library.last_coordinator`` and ``policy_log`` still describe
+        the last job that was actually simulated.
+        """
         tracer = get_tracer()
         if tracer.enabled:
             # The coding job simulates on [0, makespan]; rebase it onto
@@ -541,11 +558,32 @@ class ErasureCodingService:
                     from repro.obs.audit import ledger_from_coordinator
                     ledger_from_coordinator(coord).emit_events(tracer)
         else:
+            cost = self._job_memo.get(wl)
+            if cost is not None:
+                self.metrics.inc_work("coding_jobs_reused")
+                return cost
             res = self.library.run(wl, self.hw)
-        switches = getattr(self.library, "policy_switches", 0)
+        cost = (res.sim.makespan_ns,
+                getattr(self.library, "policy_switches", 0))
+        self._job_memo[wl] = cost
+        self.metrics.inc_work("coding_jobs_simulated")
+        return cost
+
+    def _coding_makespan(self, stripes: int, op: str = "encode",
+                         erasures: int = 0) -> float:
+        """Simulated makespan of one coalesced job of ``stripes`` stripes."""
+        if stripes < 1:
+            return 0.0
+        threads = self.config.threads_per_job
+        per_thread = max(1, math.ceil(stripes / threads)) * \
+            self.k * self.block_bytes
+        makespan, switches = self._job_makespan(Workload(
+            k=self.k, m=self.m, block_bytes=self.block_bytes,
+            nthreads=threads, data_bytes_per_thread=per_thread,
+            op=op, erasures=erasures))
         if switches:
             self.metrics.inc("policy_switches", switches)
-        return res.sim.makespan_ns
+        return makespan
 
     def _transfer_ns(self, nbytes: int) -> float:
         """DDR-T transfer time for ``nbytes`` (GB/s == bytes/ns)."""
@@ -589,21 +627,16 @@ class ErasureCodingService:
         return self.clock_ns + base + delay + transfer + makespan, results
 
     def _hedge_decode_cost_ns(self) -> float:
-        """Memoized single-stripe decode estimate for hedge accounting.
-
-        Computed once under a silenced tracer (the estimate is an
-        accounting device, not a real simulated job — same pattern as
-        ``SelfHealer._decode_cost_ns``).
-        """
-        if self._hedge_decode_memo is None:
-            wl = Workload(k=self.k, m=self.m, block_bytes=self.block_bytes,
-                          nthreads=1,
-                          data_bytes_per_thread=self.k * self.block_bytes,
-                          op="decode", erasures=1)
-            with use_tracer(None):
-                self._hedge_decode_memo = self.library.run(
-                    wl, self.hw).sim.makespan_ns
-        return self._hedge_decode_memo
+        """Single-stripe, single-thread decode estimate for hedge
+        accounting, run under a silenced tracer: the estimate is an
+        accounting device, not a real simulated job, so it emits no
+        spans and counts no policy switches."""
+        wl = Workload(k=self.k, m=self.m, block_bytes=self.block_bytes,
+                      nthreads=1,
+                      data_bytes_per_thread=self.k * self.block_bytes,
+                      op="decode", erasures=1)
+        with use_tracer(None):
+            return self._job_makespan(wl)[0]
 
     def _slow_read_extra_ns(self, penalty_ns: float) -> tuple[float, bool, bool]:
         """Extra per-read cost under an active slow device.

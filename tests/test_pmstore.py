@@ -61,6 +61,12 @@ def test_delete_and_keys():
         s.get("a")
 
 
+@pytest.mark.parametrize("block_bytes", [0, -64])
+def test_store_rejects_empty_blocks(block_bytes):
+    with pytest.raises(ValueError, match="block_bytes"):
+        _store(block_bytes=block_bytes)
+
+
 def test_mark_lost_validates():
     s = _store()
     s.put("a", b"x")

@@ -35,6 +35,31 @@ def test_bad_params():
         RSCode(4, 2, matrix="bogus")
 
 
+def test_generator_is_shared_and_read_only():
+    a, b = RSCode(8, 4), RSCode(8, 4)
+    assert a.generator is b.generator
+    assert np.shares_memory(a.parity_rows, b.generator)
+    assert not a.generator.flags.writeable
+    assert not a.parity_rows.flags.writeable
+    with pytest.raises(ValueError):
+        a.generator[0, 0] = 1
+    # A different geometry, matrix kind or field gets its own matrix.
+    assert RSCode(8, 3).generator is not a.generator
+    assert RSCode(8, 4, matrix="cauchy").generator is not a.generator
+    assert RSCode(8, 4, field=gf16).generator is not a.generator
+
+
+def test_shared_generator_survives_decode():
+    code = RSCode(4, 2)
+    before = code.generator.copy()
+    data = _random_data(4, 32)
+    stripe = code.encode(data)
+    survivors = stripe.erase([0, 4])
+    recovered = code.decode(survivors, erased=[0, 4])
+    assert np.array_equal(recovered[0], data[0])
+    assert np.array_equal(RSCode(4, 2).generator, before)
+
+
 def test_systematic():
     """Data blocks are not transformed (identity top of generator)."""
     code = RSCode(5, 2)

@@ -144,6 +144,10 @@ def test_metrics_registry_snapshot_and_render():
     assert m.count("nonexistent") == 0
     out = m.render()
     assert "completed" in out and "put latency" in out
+    m.inc_work("coding_jobs_reused", 2)
+    assert m.snapshot()["work"] == {"coding_jobs_reused": 2}
+    assert "completed" in m.snapshot()["counters"]
+    assert "coding_jobs_reused (work)" in m.render()
 
 
 # ------------------------------------------------------ service basics
@@ -152,6 +156,35 @@ def test_service_rejects_mismatched_library_geometry():
     from repro.libs import ISAL
     with pytest.raises(GeometryMismatch):
         ErasureCodingService(8, 4, library=ISAL(6, 3))
+
+
+@pytest.mark.parametrize("block_bytes", [0, 1, 63])
+def test_service_rejects_blocks_below_one_line(block_bytes):
+    with pytest.raises(ValueError, match="block_bytes must be >= 64"):
+        ErasureCodingService(8, 4, block_bytes=block_bytes)
+
+
+def test_service_accepts_one_line_blocks():
+    svc = ErasureCodingService(4, 2, block_bytes=64)
+    svc.submit(Request.put("obj", b"x" * 200, arrival_ns=0.0))
+    assert svc.drain()[0].ok
+
+
+@pytest.mark.parametrize("latency", [-5.0, -0.001, math.nan, math.inf])
+def test_service_config_rejects_bad_base_latency(latency):
+    with pytest.raises(ValueError, match="base_latency_ns"):
+        ServiceConfig(base_latency_ns=latency)
+
+
+@pytest.mark.parametrize("max_batch", [0, -1])
+def test_service_config_rejects_empty_batches(max_batch):
+    with pytest.raises(ValueError, match="max_batch"):
+        ServiceConfig(max_batch=max_batch)
+
+
+def test_service_config_accepts_edge_values():
+    cfg = ServiceConfig(max_batch=1, base_latency_ns=0.0)
+    assert cfg.max_batch == 1 and cfg.base_latency_ns == 0.0
 
 
 def test_put_then_get_round_trips_bytes():

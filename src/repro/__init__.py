@@ -100,7 +100,7 @@ from repro.service import (
 from repro.simulator import HardwareConfig, simulate, SimResult, Counters
 from repro.trace import Workload
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "RSCode",

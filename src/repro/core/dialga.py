@@ -211,7 +211,7 @@ class DialgaEncoder(CodingLibrary):
         if wl.nthreads > 1:
             self._calibrate_baseline(coord, wl, hw)
         counters = Counters()
-        load_b, store_b = make_backends(hw, counters)
+        load_b, store_b = make_backends(hw)
         contexts = [ThreadContext(hw, counters, load_b, store_b)
                     for _ in range(wl.nthreads)]
         total_stripes = wl.stripes_per_thread

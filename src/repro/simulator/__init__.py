@@ -13,7 +13,8 @@ Public API
 ``HardwareConfig`` and its sub-configs  — the testbed knobs
 ``Counters``                            — PMU-style event counters
 ``simulate`` / ``SimResult``            — run 1..N thread traces
-``StreamPrefetcher``, ``CoreCache``, ``PMReadBuffer`` — inspectable parts
+``StreamPrefetcher``, ``CoreCache``, ``PMReadBuffer`` — per-core and
+shared model state (the per-op model itself is ``engine.interpret``)
 """
 
 from repro.simulator.params import (

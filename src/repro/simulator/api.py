@@ -48,8 +48,9 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
         (one per thread). May be empty only when ``contexts`` resumes a
         previous run.
     hardware:
-        Testbed description; defaults to the paper's platform
-        (``HardwareConfig()``).
+        Testbed description; defaults to the hardware of ``contexts``
+        when given, else to the paper's platform (``HardwareConfig()``).
+        Live contexts built for other hardware are a ``ValueError``.
     threads:
         Thread count. Defaults to the number of traces given. With a
         single trace and ``threads=N``, the same op stream runs on N
@@ -80,7 +81,7 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
         Makespan, per-thread times, aggregate counters, data volume.
     """
     if hardware is None:
-        hardware = HardwareConfig()
+        hardware = contexts[0].hw if contexts else HardwareConfig()
     if isinstance(trace, Trace):
         traces = [trace]
     elif trace is None:

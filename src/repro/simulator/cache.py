@@ -36,7 +36,11 @@ class _Line:
 
 
 class CoreCache:
-    """LRU presence map over 64 B lines with prefetch bookkeeping."""
+    """LRU presence map over 64 B lines with prefetch bookkeeping.
+
+    State only: :func:`repro.simulator.engine.interpret` looks lines
+    up, inserts them and evicts in LRU order on ``_lines`` directly.
+    """
 
     def __init__(self, capacity_lines: int, counters: Counters):
         if capacity_lines < 1:
@@ -45,46 +49,16 @@ class CoreCache:
         self.counters = counters
         self._lines: OrderedDict[int, _Line] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._lines)
-
-    def __contains__(self, line_addr: int) -> bool:
-        return line_addr in self._lines
-
-    def lookup(self, line_addr: int) -> _Line | None:
-        """Return the resident entry (refreshing LRU) or None."""
-        ent = self._lines.get(line_addr)
-        if ent is not None:
-            self._lines.move_to_end(line_addr)
-        return ent
-
-    def insert(self, line_addr: int, arrival_ns: float, source: int,
-               used: bool = False, promo_ns: float = 0.0) -> None:
-        """Install a line, evicting LRU if full."""
-        if line_addr in self._lines:
-            ent = self._lines[line_addr]
-            # Keep the earlier arrival; refresh LRU position.
-            ent.arrival_ns = min(ent.arrival_ns, arrival_ns)
-            ent.promo_ns = min(ent.promo_ns, promo_ns) if ent.promo_ns else promo_ns
-            self._lines.move_to_end(line_addr)
-            return
-        if len(self._lines) >= self.capacity:
-            _, evicted = self._lines.popitem(last=False)
-            self._account_eviction(evicted)
-        self._lines[line_addr] = _Line(arrival_ns, source, used, promo_ns)
-
-    def _account_eviction(self, ent: _Line) -> None:
-        if not ent.used:
-            if ent.source == HWPF:
-                self.counters.hwpf_useless += 1
-            elif ent.source == SWPF:
-                self.counters.swpf_useless += 1
-
     def drain(self) -> None:
         """End-of-run flush: account never-used prefetches as useless."""
-        while self._lines:
-            _, ent = self._lines.popitem(last=False)
-            self._account_eviction(ent)
+        c = self.counters
+        for ent in self._lines.values():
+            if not ent.used:
+                if ent.source == HWPF:
+                    c.hwpf_useless += 1
+                elif ent.source == SWPF:
+                    c.swpf_useless += 1
+        self._lines.clear()
 
     # -- fast-forward hooks ------------------------------------------------
 

@@ -19,11 +19,14 @@ inlined into one loop with all hot state in locals; a thread hand-off
 swaps in only that thread's own state. A single-thread run
 (:meth:`ThreadContext.run`) is the one-context case.
 
-``tests/sim_reference.py`` states the same model one op and one helper
-call at a time; ``tests/test_interpreter_oracle.py`` asserts that the
-two agree bit for bit (the same floating-point operations in the same
-order) across trace generators, hardware corners, thread counts and
-chunked re-entry.
+This loop is the model's only statement in the package: the component
+classes (:class:`CoreCache`, :class:`StreamPrefetcher`, the backends
+and their read buffer and pipes) hold state and fast-forward hooks,
+no per-op behaviour. ``tests/sim_reference.py`` states the same model
+a second time, one op and one plain function at a time;
+``tests/test_interpreter_oracle.py`` asserts that the two agree bit for
+bit (the same floating-point operations in the same order) across
+trace generators, hardware corners, thread counts and chunked re-entry.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ThreadContext:
         self.load_backend = load_backend
         self.store_backend = store_backend
         self.cache = CoreCache(hw.cache.capacity_lines, counters)
-        self.prefetcher = StreamPrefetcher(hw.prefetcher, counters)
+        self.prefetcher = StreamPrefetcher(hw.prefetcher)
         self.clock = 0.0
         self.trace = trace or Trace()
         self.pc = 0
@@ -102,8 +105,7 @@ def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
         table = ctx.prefetcher._table
         threads.append((ctx, opcodes, ctx.trace.args, end,
                         lines, lines.get, lines.move_to_end, lines.popitem,
-                        table, table.get, table.move_to_end, table.popitem,
-                        ctx.prefetcher.enabled))
+                        table, table.get, table.move_to_end, table.popitem))
         if ctx.pc < end:
             heap.append((ctx.clock, idx))
     if not heap:
@@ -111,7 +113,7 @@ def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
     heapify(heap)
     _, idx = heappop(heap)
     (ctx, opcodes, args, end, lines, cache_get, cache_mte, cache_pop,
-     table, table_get, table_mte, table_pop, pf_enabled) = threads[idx]
+     table, table_get, table_mte, table_pop) = threads[idx]
     i = ctx.pc
     clock = ctx.clock
     if heap:
@@ -136,6 +138,7 @@ def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
 
     # Streamer constants (the tables are per-core).
     pf_cfg = ctx0.prefetcher.config
+    pf_enabled = pf_cfg.enabled
     pf_page_bytes = pf_cfg.page_bytes
     pf_max_streams = pf_cfg.max_streams
     pf_train = pf_cfg.train_threshold
@@ -144,11 +147,11 @@ def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
     pf_last_line = pf_page_bytes // 64 - 1
 
     # Load-side backend hot state. The PM and DRAM fill paths are
-    # both inlined below, selected by ``pm_load``; the arithmetic
-    # mirrors ``PMBackend.fill_line`` / ``DRAMBackend.fill_line``
+    # both inlined below, selected by ``pm_load``; the arithmetic is
+    # that of ``pm_fill`` / ``dram_fill`` in ``tests/sim_reference.py``
     # exactly (precomputed products are constant-folded copies of
     # the same expressions, so the floats are identical).
-    mlp = load_backend.mlp
+    mlp = load_backend.config.mlp
     pm_load = isinstance(load_backend, PMBackend)
     if pm_load:
         lb_cfg = load_backend.config
@@ -221,8 +224,8 @@ def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
                 else:
                     break
                 (ctx, opcodes, args, end, lines, cache_get, cache_mte,
-                 cache_pop, table, table_get, table_mte, table_pop,
-                 pf_enabled) = threads[idx]
+                 cache_pop, table, table_get, table_mte,
+                 table_pop) = threads[idx]
                 i = ctx.pc
                 clock = ctx.clock
                 if heap:
@@ -402,8 +405,8 @@ def interpret(contexts: list[ThreadContext], until: int | None = None) -> None:
                 i -= 1
                 raise ValueError(f"unknown opcode {op}")
 
-            # Streamer training + hardware-prefetch issue (inlined
-            # ``StreamPrefetcher.on_access``); reached after LOAD and
+            # Streamer training + hardware-prefetch issue (the
+            # reference's ``streamer_access``); reached after LOAD and
             # SWPF.
             page = line // pf_page_bytes
             pline = (line % pf_page_bytes) // 64

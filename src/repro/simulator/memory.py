@@ -1,13 +1,14 @@
 """Memory backends: DRAM and Optane-style PM.
 
-Backends answer 64 B fill requests (demand or prefetch) with a
-``(queue_delay_ns, service_latency_ns)`` pair and do the traffic
-accounting. Bandwidth is modelled as busy-until pipes: each transfer
-occupies its pipe for ``bytes / bandwidth`` and later requests queue
-behind it — under high thread counts this is what saturates and bends
-the scalability curves (Fig. 7 / 13).
+A backend holds the memory-side state that all cores of a run share;
+:func:`repro.simulator.engine.interpret` serves every 64 B fill and
+store against it and does the traffic accounting. Bandwidth is
+modelled as busy-until pipes: each transfer occupies its pipe for
+``bytes / bandwidth`` and later requests queue behind it — under high
+thread counts this is what saturates and bends the scalability curves
+(Fig. 7 / 13).
 
-The PM backend additionally runs the shared XPLine read buffer: a fill
+The PM backend additionally holds the shared XPLine read buffer: a fill
 whose XPLine is resident costs only the buffer-hit latency and no media
 traffic; a miss charges a 256 B media transfer (the *implicit load*)
 and inserts the XPLine, possibly thrash-evicting another.
@@ -15,11 +16,8 @@ and inserts the XPLine, possibly thrash-evicting another.
 
 from __future__ import annotations
 
-from repro.simulator.counters import Counters
 from repro.simulator.params import DRAMConfig, PMConfig
 from repro.simulator.readbuffer import PMReadBuffer
-
-LINE_BYTES = 64
 
 
 class _Pipe:
@@ -30,12 +28,6 @@ class _Pipe:
     def __init__(self, bw_gbps: float):
         self.ns_per_byte = 1.0 / bw_gbps  # GB/s == bytes/ns
         self.free_at = 0.0
-
-    def acquire(self, now: float, nbytes: int) -> float:
-        """Occupy the pipe for ``nbytes``; return the queue delay."""
-        start = self.free_at if self.free_at > now else now
-        self.free_at = start + nbytes * self.ns_per_byte
-        return start - now
 
     # -- fast-forward hooks ------------------------------------------------
 
@@ -57,32 +49,10 @@ class _Pipe:
 class DRAMBackend:
     """Flat-latency DRAM with read/write bandwidth pipes."""
 
-    def __init__(self, config: DRAMConfig, counters: Counters):
+    def __init__(self, config: DRAMConfig):
         self.config = config
-        self.counters = counters
         self.read_pipe = _Pipe(config.read_bw_gbps)
         self.write_pipe = _Pipe(config.write_bw_gbps)
-        self.mlp = config.mlp
-
-    def fill_line(self, addr: int, now: float, demand: bool) -> tuple[float, float, float]:
-        """Serve a 64 B read.
-
-        Returns ``(queue_delay, latency, demand_latency)`` where
-        ``demand_latency`` is what the same fill would cost at demand
-        priority — the bound a promoted late prefetch converges to.
-        """
-        self.counters.ctrl_read_bytes += LINE_BYTES
-        qd = self.read_pipe.acquire(now, LINE_BYTES)
-        return qd, self.config.latency_ns, self.config.latency_ns
-
-    def write_line(self, addr: int, now: float) -> float:
-        """Accept a 64 B non-temporal store; returns its queue delay."""
-        self.counters.write_bytes += LINE_BYTES
-        return self.write_pipe.acquire(now, LINE_BYTES)
-
-    def drain_writes(self, now: float) -> float:
-        """Time at which all posted writes are durable (for FENCE)."""
-        return max(now, self.write_pipe.free_at)
 
     def pipes(self) -> tuple[_Pipe, ...]:
         """All bandwidth pipes (for fast-forward digest/relabel)."""
@@ -92,45 +62,13 @@ class DRAMBackend:
 class PMBackend:
     """Optane-style PM: XPLine media behind a shared read buffer."""
 
-    def __init__(self, config: PMConfig, counters: Counters):
+    def __init__(self, config: PMConfig):
         self.config = config
-        self.counters = counters
         self.ctrl_pipe = _Pipe(config.ctrl_bw_gbps)
         self.media_pipe = _Pipe(config.media_read_bw_gbps)
         self.write_pipe = _Pipe(config.write_bw_gbps)
         self.read_buffer = PMReadBuffer(
-            config.buffer_capacity_lines, config.xpline_bytes, counters)
-        self.mlp = config.mlp
-
-    def fill_line(self, addr: int, now: float, demand: bool) -> tuple[float, float, float]:
-        """Serve a 64 B read; returns (queue_delay, latency, demand_latency).
-
-        Buffer hit: DDR-T transfer only. Miss: a 256 B media fill is
-        charged (read amplification) and the XPLine becomes resident.
-        Prefetch fills complete at deprioritized latency; their
-        ``demand_latency`` records what a promoted demand would pay.
-        """
-        c = self.config
-        self.counters.ctrl_read_bytes += LINE_BYTES
-        qd = self.ctrl_pipe.acquire(now, LINE_BYTES)
-        if self.read_buffer.access(addr):
-            return qd, c.buffer_hit_latency_ns, c.buffer_hit_latency_ns
-        media_qd = self.media_pipe.acquire(now + qd, c.xpline_bytes)
-        self.counters.media_read_bytes += c.xpline_bytes
-        self.read_buffer.fill(addr)
-        latency = c.media_latency_ns
-        if not demand:
-            latency *= c.prefetch_latency_factor
-        return qd + media_qd, latency, c.media_latency_ns
-
-    def write_line(self, addr: int, now: float) -> float:
-        """Accept a 64 B non-temporal store; returns its queue delay."""
-        self.counters.write_bytes += LINE_BYTES
-        return self.write_pipe.acquire(now, LINE_BYTES)
-
-    def drain_writes(self, now: float) -> float:
-        """Time at which the write queue is drained (for FENCE)."""
-        return max(now, self.write_pipe.free_at)
+            config.buffer_capacity_lines, config.xpline_bytes)
 
     def pipes(self) -> tuple[_Pipe, ...]:
         """All bandwidth pipes (for fast-forward digest/relabel)."""

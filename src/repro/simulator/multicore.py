@@ -61,16 +61,14 @@ class SimResult:
         return self.throughput_gbps * 1000.0
 
 
-def make_backends(hw: HardwareConfig, counters: Counters):
+def make_backends(hw: HardwareConfig):
     """Build the (shared) load/store backends for a run."""
     backends = {}
 
     def backend_for(kind: str):
         if kind not in backends:
             backends[kind] = (
-                PMBackend(hw.pm, counters) if kind == "pm"
-                else DRAMBackend(hw.dram, counters)
-            )
+                PMBackend(hw.pm) if kind == "pm" else DRAMBackend(hw.dram))
         return backends[kind]
 
     return backend_for(hw.load_source), backend_for(hw.store_target)
@@ -92,7 +90,8 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
         Pre-built thread contexts (advanced use: the DIALGA coordinator
         re-enters the simulator with live contexts between chunks).
         They must share one ``Counters``, one pair of memory backends
-        and one ``HardwareConfig``; otherwise ``ValueError``.
+        and one ``HardwareConfig``, equal to ``hw``; otherwise
+        ``ValueError``.
     drain:
         Flush core caches at the end, accounting still-resident unused
         prefetches as useless. Pass False for intermediate chunks of a
@@ -108,14 +107,14 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
         raise ValueError("need at least one trace")
     counters = Counters()
     if contexts is None:
-        load_b, store_b = make_backends(hw, counters)
+        load_b, store_b = make_backends(hw)
         contexts = [
             ThreadContext(hw, counters, load_b, store_b, trace=t)
             for t in traces
         ]
     else:
         counters = contexts[0].counters
-        _check_shared(contexts)
+        _check_shared(contexts, hw)
     tracer = get_tracer()
     if not tracer.enabled:
         return _run(contexts, counters, drain, fastforward)
@@ -131,17 +130,18 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
     return result
 
 
-def _check_shared(contexts: list[ThreadContext]) -> None:
-    """Reject contexts that do not share one machine (see ``interpret``)."""
+def _check_shared(contexts: list[ThreadContext], hw: HardwareConfig) -> None:
+    """Reject contexts that do not share one machine, ``hw`` (see
+    ``interpret``)."""
     ctx0 = contexts[0]
-    for ctx in contexts[1:]:
+    for ctx in contexts:
         if (ctx.counters is not ctx0.counters
                 or ctx.load_backend is not ctx0.load_backend
                 or ctx.store_backend is not ctx0.store_backend
-                or ctx.hw != ctx0.hw):
+                or ctx.hw != hw):
             raise ValueError(
                 "contexts must share one Counters, one pair of memory "
-                "backends and one HardwareConfig")
+                "backends and one HardwareConfig, the one simulated")
 
 
 def _run(contexts: list[ThreadContext], counters: Counters, drain: bool,

@@ -16,6 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 
+def _require(cfg, positive=(), non_negative=()) -> None:
+    """Raise ``ValueError`` naming the first field of ``cfg`` out of range."""
+    for name in positive:
+        value = getattr(cfg, name)
+        if not value > 0:
+            raise ValueError(f"{type(cfg).__name__}.{name} must be "
+                             f"positive, got {value!r}")
+    for name in non_negative:
+        value = getattr(cfg, name)
+        if not value >= 0:
+            raise ValueError(f"{type(cfg).__name__}.{name} must be "
+                             f"non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CPUConfig:
     """Core model: frequency, SIMD width and per-op costs (in cycles)."""
@@ -41,6 +55,16 @@ class CPUConfig:
     #: store-heavy figures; sweeps may vary it per-cell.
     wpq_backpressure_ns: float = 2000.0
 
+    def __post_init__(self):
+        _require(self, positive=("freq_ghz",), non_negative=(
+            "gf_cycles_per_parity_line", "xor_cycles_per_line",
+            "loop_overhead_cycles", "load_issue_cycles",
+            "store_issue_cycles", "swpf_issue_cycles",
+            "wpq_backpressure_ns"))
+        if self.simd not in ("avx512", "avx256"):
+            raise ValueError("CPUConfig.simd must be 'avx512' or 'avx256', "
+                             f"got {self.simd!r}")
+
     @property
     def ns_per_cycle(self) -> float:
         return 1.0 / self.freq_ghz
@@ -48,11 +72,7 @@ class CPUConfig:
     @property
     def simd_factor(self) -> float:
         """Compute-cycle multiplier for the configured SIMD width."""
-        if self.simd == "avx512":
-            return 1.0
-        if self.simd == "avx256":
-            return 2.0
-        raise ValueError(f"unknown SIMD width {self.simd!r}")
+        return 2.0 if self.simd == "avx256" else 1.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +83,9 @@ class CacheConfig:
     l2_kb: int = 1024
     #: Latency of a load that hits in L1/L2 (ns).
     hit_latency_ns: float = 4.0
+
+    def __post_init__(self):
+        _require(self, non_negative=("hit_latency_ns",))
 
     @property
     def capacity_lines(self) -> int:
@@ -93,6 +116,12 @@ class PrefetcherConfig:
     ramp_div: int = 3
     page_bytes: int = 4096
 
+    def __post_init__(self):
+        _require(self, positive=("max_streams", "ramp_div", "page_bytes"))
+        if self.page_bytes % 64:
+            raise ValueError("PrefetcherConfig.page_bytes must be a "
+                             f"multiple of 64, got {self.page_bytes!r}")
+
 
 @dataclass(frozen=True)
 class DRAMConfig:
@@ -105,6 +134,10 @@ class DRAMConfig:
     #: Memory-level parallelism: outstanding demand misses the core
     #: overlaps. DRAM latency sits inside the OOO window, so higher.
     mlp: float = 6.0
+
+    def __post_init__(self):
+        _require(self, positive=("read_bw_gbps", "write_bw_gbps", "mlp"),
+                 non_negative=("latency_ns",))
 
 
 @dataclass(frozen=True)
@@ -134,6 +167,12 @@ class PMConfig:
     #: effective on PM than on DRAM.
     prefetch_latency_factor: float = 2.0
 
+    def __post_init__(self):
+        _require(self, positive=("xpline_bytes", "media_read_bw_gbps",
+                                 "ctrl_bw_gbps", "write_bw_gbps", "mlp"),
+                 non_negative=("media_latency_ns", "buffer_hit_latency_ns",
+                               "prefetch_latency_factor"))
+
     @property
     def buffer_capacity_lines(self) -> int:
         """Read-buffer capacity in XPLines (384 for the default 96 KB)."""
@@ -153,6 +192,13 @@ class HardwareConfig:
     load_source: str = "pm"
     #: Where parity stores go (non-temporal): "pm" or "dram".
     store_target: str = "pm"
+
+    def __post_init__(self):
+        for name in ("load_source", "store_target"):
+            value = getattr(self, name)
+            if value not in ("pm", "dram"):
+                raise ValueError(f"HardwareConfig.{name} must be 'pm' or "
+                                 f"'dram', got {value!r}")
 
     def with_(self, **kwargs) -> "HardwareConfig":
         """Return a copy with top-level fields replaced."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.simulator.counters import Counters
 from repro.simulator.params import PrefetcherConfig
 
 
@@ -35,22 +34,15 @@ class _Stream:
 
 
 class StreamPrefetcher:
-    """One core's L2 streamer. ``on_access`` returns lines to prefetch."""
+    """One core's L2 streamer: the LRU stream table, keyed by page.
 
-    def __init__(self, config: PrefetcherConfig, counters: Counters):
+    State only: :func:`repro.simulator.engine.interpret` trains the
+    streams and issues the prefetches described above.
+    """
+
+    def __init__(self, config: PrefetcherConfig):
         self.config = config
-        self.counters = counters
         self._table: OrderedDict[int, _Stream] = OrderedDict()
-        self.enabled = config.enabled
-
-    def reset(self) -> None:
-        """Drop all trained streams (e.g. on a policy switch)."""
-        self._table.clear()
-
-    @property
-    def live_streams(self) -> int:
-        """Current stream-table occupancy."""
-        return len(self._table)
 
     # -- fast-forward hooks ------------------------------------------------
 
@@ -73,68 +65,3 @@ class StreamPrefetcher:
             return
         self._table = OrderedDict(
             (page + page_shift, s) for page, s in self._table.items())
-
-    def on_access(self, addr: int) -> list[int]:
-        """Observe a demand (or software-prefetch) access.
-
-        Parameters
-        ----------
-        addr:
-            Byte address of the 64 B access.
-
-        Returns
-        -------
-        list of byte addresses (line-aligned) the prefetcher decides to
-        fetch — empty while untrained, disabled or out of page room.
-        """
-        if not self.enabled:
-            return []
-        cfg = self.config
-        line_bytes = 64
-        page = addr // cfg.page_bytes
-        line = (addr % cfg.page_bytes) // line_bytes
-        lines_per_page = cfg.page_bytes // line_bytes
-        table = self._table
-        stream = table.get(page)
-        if stream is None:
-            if len(table) >= cfg.max_streams:
-                _, evicted = table.popitem(last=False)
-                if evicted.confidence < cfg.train_threshold:
-                    self.counters.streams_evicted_untrained += 1
-            table[page] = _Stream(last_line=line, confidence=0, max_prefetched=line)
-            self.counters.streams_allocated += 1
-            return []
-        table.move_to_end(page)
-        if line == stream.last_line + 1 or line == stream.last_line + 2:
-            # Sequential advance of the stream head.
-            stream.confidence += 1
-            stream.last_line = line
-        elif line <= stream.last_line:
-            # At or behind the head: a re-touch (e.g. the demand load
-            # trailing a software prefetch). Streamers track the
-            # monotone head and ignore these — which is exactly why
-            # software prefetching *trains* real streamers (§5.9).
-            pass
-        else:
-            # Forward jump beyond the sequential window (the shuffle
-            # mapping's signature): lose confidence.
-            stream.confidence = max(0, stream.confidence - 2)
-            stream.last_line = line
-            return []
-        if stream.confidence < cfg.train_threshold:
-            return []
-        distance = min(
-            (stream.confidence - cfg.train_threshold) // cfg.ramp_div + 1,
-            cfg.max_distance,
-        )
-        target = min(line + distance, lines_per_page - 1)
-        start = max(stream.max_prefetched + 1, line + 1)
-        if start > target:
-            return []
-        stream.max_prefetched = target
-        out = [
-            page * cfg.page_bytes + l * line_bytes
-            for l in range(start, target + 1)
-        ]
-        self.counters.hwpf_issued += len(out)
-        return out

@@ -55,7 +55,7 @@ def test_swpf_to_cached_line_is_cheap():
 def test_context_reuse_across_simulate_calls():
     """The DIALGA chunking pattern: extend a live context and re-enter."""
     counters = Counters()
-    load_b, store_b = make_backends(HW, counters)
+    load_b, store_b = make_backends(HW)
     ctx = ThreadContext(HW, counters, load_b, store_b)
     ctx.trace.extend(Trace(ops=[(LOAD, i * 64) for i in range(8)],
                            data_bytes=512))
@@ -72,7 +72,7 @@ def test_context_reuse_across_simulate_calls():
 def test_drain_flag_defers_useless_accounting():
     ops = [(SWPF, 4096)]  # prefetch never demanded
     counters = Counters()
-    load_b, store_b = make_backends(HW, counters)
+    load_b, store_b = make_backends(HW)
     ctx = ThreadContext(HW, counters, load_b, store_b,
                         trace=Trace(ops=list(ops)))
     simulate([], HW, contexts=[ctx], drain=False)
@@ -105,9 +105,9 @@ def test_media_pipe_queueing_under_burst():
 
 def test_backends_shared_iff_same_kind():
     counters = Counters()
-    lb, sb = make_backends(HW, counters)
+    lb, sb = make_backends(HW)
     assert lb is sb  # both "pm"
-    lb2, sb2 = make_backends(HW.with_(load_source="dram"), counters)
+    lb2, sb2 = make_backends(HW.with_(load_source="dram"))
     assert lb2 is not sb2
     assert isinstance(lb2, DRAMBackend) and isinstance(sb2, PMBackend)
 
@@ -126,32 +126,75 @@ def test_cpu_simd_validation():
 
 def test_simulate_with_all_done_contexts():
     counters = Counters()
-    load_b, store_b = make_backends(HW, counters)
+    load_b, store_b = make_backends(HW)
     ctx = ThreadContext(HW, counters, load_b, store_b, trace=Trace(ops=[]))
     res = simulate([], HW, contexts=[ctx])
     assert res.makespan_ns == 0.0
 
 
-@pytest.mark.parametrize("mismatch", ["counters", "backends", "hardware"])
+@pytest.mark.parametrize("mismatch", ["counters", "backends", "hardware",
+                                      "hardware_argument"])
 def test_simulate_rejects_contexts_not_sharing_one_machine(mismatch):
-    """The interpreter reads counters, backends and hw off context 0."""
+    """The interpreter reads counters, backends and hw off context 0,
+    and those must be the hardware asked for."""
     counters = Counters()
-    load_b, store_b = make_backends(HW, counters)
+    load_b, store_b = make_backends(HW)
     first = ThreadContext(HW, counters, load_b, store_b,
                           trace=Trace(ops=[(LOAD, 0)]))
     other_counters = Counters()
-    other_load, other_store = make_backends(HW, other_counters)
+    other_load, other_store = make_backends(HW)
     second = {
         "counters": lambda: ThreadContext(HW, other_counters, load_b, store_b),
         "backends": lambda: ThreadContext(HW, counters, other_load,
                                           other_store),
         "hardware": lambda: ThreadContext(HW.with_cpu(freq_ghz=1.0),
                                           counters, load_b, store_b),
+        "hardware_argument": lambda: ThreadContext(HW, counters, load_b,
+                                                   store_b),
     }[mismatch]()
+    hardware = (HW.with_(load_source="dram")
+                if mismatch == "hardware_argument" else HW)
     second.trace.extend(Trace(ops=[(LOAD, 4096)]))
     with pytest.raises(ValueError, match="share one"):
-        simulate([], HW, contexts=[first, second])
+        simulate([], hardware, contexts=[first, second])
     assert first.pc == 0 and second.pc == 0
+
+
+def test_simulate_defaults_to_the_contexts_hardware():
+    hw = HW.with_(load_source="dram")
+    counters = Counters()
+    load_b, store_b = make_backends(hw)
+    ctx = ThreadContext(hw, counters, load_b, store_b,
+                        trace=Trace(ops=[(LOAD, 0)]))
+    res = simulate([], contexts=[ctx])
+    assert res.counters.load_stall_ns == pytest.approx(
+        hw.dram.latency_ns / hw.dram.mlp)
+
+
+@pytest.mark.parametrize("part, field, value", [
+    ("", "load_source", "nvme"),
+    ("", "load_source", "PM"),
+    ("", "store_target", "cxl"),
+    ("pm", "mlp", -1.0),
+    ("pm", "mlp", 0),
+    ("dram", "mlp", 0),
+    ("pm", "media_latency_ns", -5),
+    ("pm", "xpline_bytes", 0),
+    ("pm", "ctrl_bw_gbps", 0.0),
+    ("dram", "read_bw_gbps", -1.0),
+    ("prefetcher", "ramp_div", 0),
+    ("prefetcher", "max_streams", 0),
+    ("prefetcher", "page_bytes", 100),
+    ("cpu", "freq_ghz", 0.0),
+    ("cpu", "load_issue_cycles", -1.0),
+])
+def test_hardware_config_rejects_bad_values_at_construction(part, field,
+                                                            value):
+    """Each of these used to simulate wrong numbers silently or crash
+    inside the interpreter; the config now names the field."""
+    with_ = getattr(HW, f"with_{part}" if part else "with_")
+    with pytest.raises(ValueError, match=rf"\.{field} must"):
+        with_(**{field: value})
 
 
 def test_counters_merge_full_roundtrip():

@@ -176,7 +176,7 @@ def fresh_context(tr, hw=SMALL_HW):
     from repro.simulator import Counters, ThreadContext
     from repro.simulator.multicore import make_backends
     counters = Counters()
-    load_b, store_b = make_backends(hw, counters)
+    load_b, store_b = make_backends(hw)
     return ThreadContext(hw, counters, load_b, store_b, trace=tr)
 
 

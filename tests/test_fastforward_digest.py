@@ -28,7 +28,7 @@ def warmed(load_source: str) -> ThreadContext:
     cache, stream table, read buffer and pipes all hold state."""
     hw = HardwareConfig().with_(load_source=load_source)
     counters = Counters()
-    load_b, store_b = make_backends(hw, counters)
+    load_b, store_b = make_backends(hw)
     wl = Workload(k=4, m=2, block_bytes=512,
                   data_bytes_per_thread=8 * 4 * 512)
     trace = isal_trace(wl, hw.cpu, IsalVariant(sw_prefetch_distance=4))
@@ -102,12 +102,27 @@ DIGESTED = {
 CONSTANT = {
     CoreCache: {"capacity", "counters"},
     _Line: set(),
-    StreamPrefetcher: {"config", "counters", "enabled"},
+    StreamPrefetcher: {"config"},
     _Stream: set(),
-    PMReadBuffer: {"capacity", "xpline_bytes", "counters"},
+    PMReadBuffer: {"capacity", "xpline_bytes"},
     _Pipe: {"ns_per_byte"},
-    PMBackend: {"config", "counters", "mlp"},
-    DRAMBackend: {"config", "counters", "mlp"},
+    PMBackend: {"config"},
+    DRAMBackend: {"config"},
+}
+
+#: The only public methods a model may define. Per-op behaviour lives
+#: in ``engine.interpret`` alone (restated for the oracle in
+#: ``tests/sim_reference.py``); a second statement of it on a model
+#: would be code the interpreter never runs and the oracle never checks.
+METHODS = {
+    CoreCache: {"drain", "state_digest", "relabel"},
+    _Line: set(),
+    StreamPrefetcher: {"state_digest", "relabel"},
+    _Stream: set(),
+    PMReadBuffer: {"state_digest", "relabel"},
+    _Pipe: {"rel_free", "shift"},
+    PMBackend: {"pipes"},
+    DRAMBackend: {"pipes"},
 }
 
 
@@ -117,6 +132,24 @@ def fields_of(obj) -> set[str]:
     names = {name for cls in type(obj).__mro__
              for name in getattr(cls, "__slots__", ())}
     return names | set(getattr(obj, "__dict__", ()))
+
+
+def public_methods(model) -> set[str]:
+    """Public callables and properties defined on ``model`` or a base."""
+    return {name for cls in model.__mro__ if cls is not object
+            for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (callable(value) or isinstance(value, property))}
+
+
+@pytest.mark.parametrize("model", METHODS, ids=lambda m: m.__name__)
+def test_models_hold_state_not_behaviour(model):
+    extra = public_methods(model) - METHODS[model]
+    assert not extra, (
+        f"{model.__name__} defines {sorted(extra)}: the per-op model "
+        f"belongs in engine.interpret (and tests/sim_reference.py)")
+    missing = METHODS[model] - public_methods(model)
+    assert not missing, f"{model.__name__} has no {sorted(missing)}"
 
 
 @pytest.mark.parametrize("model", DIGESTED, ids=lambda m: m.__name__)

@@ -11,6 +11,7 @@ from repro.simulator.readbuffer import PMReadBuffer
 from repro.simulator.streamprefetcher import StreamPrefetcher
 from repro.simulator.params import PrefetcherConfig
 from repro.trace.ops import COMPUTE, FENCE, LOAD, STORE, SWPF, Trace
+from tests.sim_reference import buffer_read, cache_insert, streamer_access
 
 HW = HardwareConfig(cache=CacheConfig(l2_kb=16))
 
@@ -109,8 +110,8 @@ def test_cache_relabel_is_a_group_action(addrs, data, a, b, ta, tb):
     def build():
         cache = CoreCache(128, Counters())
         for line, arrival, src in specs:
-            cache.insert(line, arrival, src,
-                         used=bool(line % 128), promo_ns=float(line % 7))
+            cache_insert(cache, line, arrival, src, used=bool(line % 128),
+                         promo_ns=float(line % 7))
         return cache
 
     def snapshot(c):
@@ -141,10 +142,11 @@ def test_prefetcher_and_readbuffer_relabel_group_action(pages, a, b):
     grain = cfg.page_bytes
 
     def build_pf():
-        pf = StreamPrefetcher(cfg, Counters())
+        pf = StreamPrefetcher(cfg)
+        c = Counters()
         for i, page in enumerate(pages[:cfg.max_streams]):
             for line in range(min(3, 1 + i % 3)):
-                pf.on_access(page * grain + line * 64)
+                streamer_access(pf, c, page * grain + line * 64)
         return pf
 
     p1 = build_pf()
@@ -157,10 +159,10 @@ def test_prefetcher_and_readbuffer_relabel_group_action(pages, a, b):
     assert p2.state_digest((a + b) * grain) == d0
 
     def build_rb():
-        rb = PMReadBuffer(32, 256, Counters())
+        rb = PMReadBuffer(32, 256)
+        c = Counters()
         for page in pages:
-            if not rb.access(page * 256):
-                rb.fill(page * 256)
+            buffer_read(rb, c, page * 256)
         return rb
 
     r1 = build_rb()

@@ -94,7 +94,7 @@ def test_replicated_trace_matches_reference():
 
 def _contexts(hw, n):
     counters = Counters()
-    load_b, store_b = make_backends(hw, counters)
+    load_b, store_b = make_backends(hw)
     return [ThreadContext(hw, counters, load_b, store_b) for _ in range(n)]
 
 

@@ -9,6 +9,7 @@ from repro.simulator import Counters, HardwareConfig, PMReadBuffer, StreamPrefet
 from repro.simulator.params import PMConfig, PrefetcherConfig
 from repro.trace.layout import StripeLayout
 from repro.trace.ops import LOAD, COMPUTE, Trace
+from tests.sim_reference import buffer_read, streamer_access
 
 HW = HardwareConfig()
 
@@ -19,10 +20,11 @@ HW = HardwareConfig()
 def test_prefetcher_never_prefetches_backwards_or_past_page(lines):
     """Issued prefetch addresses are always ahead of the trigger and
     inside its 4 KB page."""
-    pf = StreamPrefetcher(PrefetcherConfig(), Counters())
+    pf = StreamPrefetcher(PrefetcherConfig())
+    c = Counters()
     for line in lines:
         addr = line * 64
-        for target in pf.on_access(addr):
+        for target in streamer_access(pf, c, addr):
             assert target > addr
             assert target // 4096 == addr // 4096
 
@@ -33,11 +35,10 @@ def test_prefetcher_never_prefetches_backwards_or_past_page(lines):
 @settings(max_examples=30, deadline=None)
 def test_readbuffer_never_exceeds_capacity(addrs, cap):
     c = Counters()
-    rb = PMReadBuffer(cap, 256, c)
+    rb = PMReadBuffer(cap, 256)
     for a in addrs:
-        if not rb.access(a * 64):
-            rb.fill(a * 64)
-        assert len(rb) <= cap
+        buffer_read(rb, c, a * 64)
+        assert len(rb._entries) <= cap
     # conservation: every miss either filled or was already resident
     assert c.buffer_hits + c.buffer_misses == len(addrs)
 

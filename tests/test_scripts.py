@@ -21,6 +21,10 @@ def test_gen_api_docs_renders(tmp_path):
     text = out.read_text()
     assert "## `repro.core`" in text
     assert "DialgaEncoder" in text
+    committed = SCRIPTS.parent / "docs" / "api.md"
+    assert text == committed.read_text(), (
+        "docs/api.md is stale: regenerate it with "
+        "`python scripts/gen_api_docs.py`")
 
 
 def test_run_all_script_is_executable():

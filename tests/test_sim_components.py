@@ -1,10 +1,14 @@
-"""Unit tests for simulator components: cache, prefetcher, read buffer."""
+"""Unit tests for the simulator's component models: cache, streamer and
+read buffer, as stated by the reference functions in
+``tests/sim_reference.py`` over the component state."""
 
 import pytest
 
 from repro.simulator import Counters, CoreCache, PMReadBuffer, StreamPrefetcher
 from repro.simulator.cache import DEMAND, HWPF, SWPF
 from repro.simulator.params import PrefetcherConfig
+from tests.sim_reference import (buffer_access, buffer_fill, cache_insert,
+                                 cache_lookup, streamer_access)
 
 
 # -- CoreCache --------------------------------------------------------------
@@ -12,49 +16,49 @@ from repro.simulator.params import PrefetcherConfig
 def test_cache_insert_lookup():
     c = Counters()
     cache = CoreCache(4, c)
-    cache.insert(0, 10.0, DEMAND, used=True)
-    assert 0 in cache
-    ent = cache.lookup(0)
+    cache_insert(cache, 0, 10.0, DEMAND, used=True)
+    assert 0 in cache._lines
+    ent = cache_lookup(cache, 0)
     assert ent.arrival_ns == 10.0
-    assert cache.lookup(64) is None
+    assert cache_lookup(cache, 64) is None
 
 
 def test_cache_lru_eviction_counts_useless_prefetch():
     c = Counters()
     cache = CoreCache(2, c)
-    cache.insert(0, 0.0, HWPF)
-    cache.insert(64, 0.0, HWPF)
-    cache.insert(128, 0.0, DEMAND, used=True)  # evicts line 0 (unused HWPF)
+    cache_insert(cache, 0, 0.0, HWPF)
+    cache_insert(cache, 64, 0.0, HWPF)
+    cache_insert(cache, 128, 0.0, DEMAND, used=True)  # evicts line 0 (unused HWPF)
     assert c.hwpf_useless == 1
-    assert 0 not in cache and 64 in cache
+    assert 0 not in cache._lines and 64 in cache._lines
 
 
 def test_cache_eviction_of_used_line_not_useless():
     c = Counters()
     cache = CoreCache(1, c)
-    cache.insert(0, 0.0, HWPF)
-    cache.lookup(0).used = True
-    cache.insert(64, 0.0, DEMAND)
+    cache_insert(cache, 0, 0.0, HWPF)
+    cache_lookup(cache, 0).used = True
+    cache_insert(cache, 64, 0.0, DEMAND)
     assert c.hwpf_useless == 0
 
 
 def test_cache_swpf_useless_on_drain():
     c = Counters()
     cache = CoreCache(4, c)
-    cache.insert(0, 0.0, SWPF)
-    cache.insert(64, 0.0, SWPF)
-    cache.lookup(64).used = True
+    cache_insert(cache, 0, 0.0, SWPF)
+    cache_insert(cache, 64, 0.0, SWPF)
+    cache_lookup(cache, 64).used = True
     cache.drain()
     assert c.swpf_useless == 1
-    assert len(cache) == 0
+    assert len(cache._lines) == 0
 
 
 def test_cache_reinsert_keeps_earliest_arrival():
     c = Counters()
     cache = CoreCache(4, c)
-    cache.insert(0, 100.0, HWPF)
-    cache.insert(0, 50.0, SWPF)
-    assert cache.lookup(0).arrival_ns == 50.0
+    cache_insert(cache, 0, 100.0, HWPF)
+    cache_insert(cache, 0, 50.0, SWPF)
+    assert cache_lookup(cache, 0).arrival_ns == 50.0
 
 
 def test_cache_capacity_validation():
@@ -65,18 +69,20 @@ def test_cache_capacity_validation():
 # -- StreamPrefetcher --------------------------------------------------------
 
 def _pf(max_streams=32, train=2, dist=4, enabled=True, ramp=1):
+    """A streamer on fresh counters, as a function of the access address."""
     cfg = PrefetcherConfig(enabled=enabled, max_streams=max_streams,
                            train_threshold=train, max_distance=dist,
                            ramp_div=ramp)
     c = Counters()
-    return StreamPrefetcher(cfg, c), c
+    pf = StreamPrefetcher(cfg)
+    return (lambda addr: streamer_access(pf, c, addr)), c
 
 
 def test_prefetcher_trains_on_sequential():
     pf, c = _pf()
-    assert pf.on_access(0) == []          # allocate
-    assert pf.on_access(64) == []         # conf 1 < threshold
-    out = pf.on_access(128)               # conf 2 == threshold -> distance 1
+    assert pf(0) == []          # allocate
+    assert pf(64) == []         # conf 1 < threshold
+    out = pf(128)               # conf 2 == threshold -> distance 1
     assert out == [192]
     assert c.hwpf_issued == 1
 
@@ -84,9 +90,9 @@ def test_prefetcher_trains_on_sequential():
 def test_prefetcher_distance_ramps_to_cap():
     pf, c = _pf(dist=4)
     for line in range(8):
-        pf.on_access(line * 64)
+        pf(line * 64)
     # conf is now 8 -> distance capped at 4: covers up to line+4.
-    out = pf.on_access(8 * 64)
+    out = pf(8 * 64)
     assert out and max(out) == (8 + 4) * 64
 
 
@@ -94,25 +100,25 @@ def test_prefetcher_ramp_div_slows_distance_growth():
     fast, _ = _pf(dist=8, ramp=1)
     slow, _ = _pf(dist=8, ramp=4)
     for line in range(6):
-        fast.on_access(line * 64)
-        slow.on_access(line * 64)
-    out_fast = fast.on_access(6 * 64)
-    out_slow = slow.on_access(6 * 64)
+        fast(line * 64)
+        slow(line * 64)
+    out_fast = fast(6 * 64)
+    out_slow = slow(6 * 64)
     assert max(out_fast) > max(out_slow)
 
 
 def test_prefetcher_does_not_cross_page():
     pf, c = _pf(dist=8)
     for line in range(60, 64):
-        pf.on_access(line * 64)
-    out = pf.on_access(63 * 64)  # same-line re-access, nothing beyond page
+        pf(line * 64)
+    out = pf(63 * 64)  # same-line re-access, nothing beyond page
     assert all(addr < 4096 for addr in out)
 
 
 def test_prefetcher_disabled():
     pf, c = _pf(enabled=False)
     for line in range(8):
-        assert pf.on_access(line * 64) == []
+        assert pf(line * 64) == []
     assert c.hwpf_issued == 0
 
 
@@ -123,7 +129,7 @@ def test_prefetcher_stream_table_overflow_kills_coverage():
     issued = 0
     for row in range(8):
         for p in range(pages):
-            issued += len(pf.on_access(p * 4096 + row * 64))
+            issued += len(pf(p * 4096 + row * 64))
     assert issued == 0
     assert c.streams_evicted_untrained > 0
 
@@ -134,7 +140,7 @@ def test_prefetcher_within_capacity_trains():
     issued = 0
     for row in range(8):
         for p in range(pages):
-            issued += len(pf.on_access(p * 4096 + row * 64))
+            issued += len(pf(p * 4096 + row * 64))
     assert issued > 0
 
 
@@ -143,65 +149,57 @@ def test_prefetcher_shuffled_access_never_trains():
     # Non-sequential (stride 7) lines within one page.
     for i in range(20):
         line = (i * 7) % 64
-        assert pf.on_access(line * 64) == []
+        assert pf(line * 64) == []
     assert c.hwpf_issued == 0
-
-
-def test_prefetcher_reset():
-    pf, _ = _pf()
-    pf.on_access(0)
-    assert pf.live_streams == 1
-    pf.reset()
-    assert pf.live_streams == 0
 
 
 # -- PMReadBuffer -------------------------------------------------------------
 
 def test_readbuffer_hit_after_fill():
     c = Counters()
-    rb = PMReadBuffer(4, 256, c)
-    assert not rb.access(0)
-    rb.fill(0)
-    assert rb.access(64)   # same XPLine
-    assert not rb.access(256)  # next XPLine
+    rb = PMReadBuffer(4, 256)
+    assert not buffer_access(rb, c, 0)
+    buffer_fill(rb, c, 0)
+    assert buffer_access(rb, c, 64)   # same XPLine
+    assert not buffer_access(rb, c, 256)  # next XPLine
     assert c.buffer_hits == 1
     assert c.buffer_misses == 2
 
 
 def test_readbuffer_thrash_counting():
     c = Counters()
-    rb = PMReadBuffer(2, 256, c)
-    rb.fill(0)
-    rb.fill(256)
-    rb.fill(512)  # evicts XPLine 0, which was used once (fill only)
+    rb = PMReadBuffer(2, 256)
+    buffer_fill(rb, c, 0)
+    buffer_fill(rb, c, 256)
+    buffer_fill(rb, c, 512)  # evicts XPLine 0, which was used once (fill only)
     assert c.buffer_evictions == 1
     assert c.buffer_evictions_unused == 1
 
 
 def test_readbuffer_used_eviction_not_thrash():
     c = Counters()
-    rb = PMReadBuffer(1, 256, c)
-    rb.fill(0)
-    rb.access(64)  # hit -> used twice
-    rb.fill(256)
+    rb = PMReadBuffer(1, 256)
+    buffer_fill(rb, c, 0)
+    buffer_access(rb, c, 64)  # hit -> used twice
+    buffer_fill(rb, c, 256)
     assert c.buffer_evictions == 1
     assert c.buffer_evictions_unused == 0
 
 
 def test_readbuffer_lru_refresh_on_hit():
     c = Counters()
-    rb = PMReadBuffer(2, 256, c)
-    rb.fill(0)
-    rb.fill(256)
-    rb.access(0)      # refresh XPLine 0
-    rb.fill(512)      # should evict XPLine 1 (LRU), not 0
-    assert rb.access(0)
-    assert not rb.access(256)
+    rb = PMReadBuffer(2, 256)
+    buffer_fill(rb, c, 0)
+    buffer_fill(rb, c, 256)
+    buffer_access(rb, c, 0)      # refresh XPLine 0
+    buffer_fill(rb, c, 512)      # should evict XPLine 1 (LRU), not 0
+    assert buffer_access(rb, c, 0)
+    assert not buffer_access(rb, c, 256)
 
 
 def test_readbuffer_capacity_validation():
     with pytest.raises(ValueError):
-        PMReadBuffer(0, 256, Counters())
+        PMReadBuffer(0, 256)
 
 
 # -- Counters ------------------------------------------------------------------

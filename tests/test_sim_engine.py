@@ -1,4 +1,5 @@
-"""Unit tests for the execution engine and memory backends."""
+"""Unit tests for the execution engine and the memory backends (the
+latter through the reference functions in ``tests/sim_reference.py``)."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.simulator import (
     simulate,
 )
 from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
+from tests.sim_reference import dram_fill, drain_writes, pm_fill, write_line
 
 HW = HardwareConfig()
 
@@ -22,8 +24,8 @@ def _trace(ops, data_bytes=0):
 
 def test_dram_fill_latency_and_traffic():
     c = Counters()
-    d = DRAMBackend(HW.dram, c)
-    qd, lat, dlat = d.fill_line(0, 0.0, demand=True)
+    d = DRAMBackend(HW.dram)
+    qd, lat, dlat = dram_fill(d, c, 0, 0.0, demand=True)
     assert qd == 0.0
     assert lat == HW.dram.latency_ns
     assert c.ctrl_read_bytes == 64
@@ -31,19 +33,19 @@ def test_dram_fill_latency_and_traffic():
 
 def test_dram_bandwidth_queueing():
     c = Counters()
-    d = DRAMBackend(HW.dram, c)
+    d = DRAMBackend(HW.dram)
     # Saturate the pipe with back-to-back same-time requests.
-    delays = [d.fill_line(i * 64, 0.0, demand=True)[0] for i in range(10)]
+    delays = [dram_fill(d, c, i * 64, 0.0, demand=True)[0] for i in range(10)]
     assert delays[0] == 0.0
     assert delays[-1] > delays[1] > 0.0
 
 
 def test_pm_fill_miss_then_buffer_hit():
     c = Counters()
-    p = PMBackend(HW.pm, c)
-    _, lat1, _ = p.fill_line(0, 0.0, demand=True)
+    p = PMBackend(HW.pm)
+    _, lat1, _ = pm_fill(p, c, 0, 0.0, demand=True)
     assert lat1 == HW.pm.media_latency_ns
-    _, lat2, dlat2 = p.fill_line(64, 1000.0, demand=True)  # same XPLine
+    _, lat2, dlat2 = pm_fill(p, c, 64, 1000.0, demand=True)  # same XPLine
     assert dlat2 == lat2
     assert lat2 == HW.pm.buffer_hit_latency_ns
     assert c.media_read_bytes == 256
@@ -52,10 +54,10 @@ def test_pm_fill_miss_then_buffer_hit():
 
 def test_pm_write_and_drain():
     c = Counters()
-    p = PMBackend(HW.pm, c)
-    p.write_line(0, 0.0)
+    p = PMBackend(HW.pm)
+    write_line(p, c, 0, 0.0)
     assert c.write_bytes == 64
-    assert p.drain_writes(0.0) > 0.0
+    assert drain_writes(p, 0.0) > 0.0
 
 
 # -- engine --------------------------------------------------------------------
